@@ -50,7 +50,7 @@
 //! resilient campaign runtime isolated instead of completing) fails the
 //! gate outright: a crashed or budget-blown cell is never a pass.
 
-use helix_bench::json::{parse, Json};
+use helix_rc::api::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -77,7 +77,7 @@ const CAMPAIGN_FULL_MIN_SPEEDUP: f64 = 2.5;
 
 fn load_rows(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let rows = doc
         .get("workloads")
         .and_then(Json::as_array)
@@ -121,13 +121,13 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// `config_medians` object (absent in pre-medians baselines).
 fn load_config_medians(path: &str) -> Result<Option<BTreeMap<String, f64>>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let Some(obj) = doc.get("config_medians") else {
         return Ok(None);
     };
-    let entries = obj
-        .as_object()
-        .ok_or_else(|| format!("{path}: config_medians is not an object"))?;
+    let Json::Obj(entries) = obj else {
+        return Err(format!("{path}: config_medians is not an object"));
+    };
     let mut out = BTreeMap::new();
     for (config, v) in entries {
         let m = v
@@ -145,7 +145,7 @@ fn load_config_medians(path: &str) -> Result<Option<BTreeMap<String, f64>>, Stri
 /// or `None` when the report predates the row.
 fn load_campaign_full(path: &str) -> Result<Option<f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let Some(row) = doc.get("campaign_full") else {
         return Ok(None);
     };
@@ -272,7 +272,7 @@ fn run(baseline_path: &str, fresh_path: &str, tolerance: f64) -> Result<(), Stri
 /// campaign report's `generations` rows.
 fn load_scenario_speedups(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     if doc.get("harness").and_then(Json::as_str) != Some("campaign") {
         return Err(format!(
             "{path}: not a campaign report (harness != \"campaign\")"
@@ -321,7 +321,7 @@ fn load_scenario_fracs(
     path: &str,
 ) -> Result<(BTreeMap<String, f64>, BTreeMap<String, f64>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut comm = BTreeMap::new();
     if let Some(rows) = doc.get("rows").and_then(Json::as_array) {
         for row in rows {
@@ -358,7 +358,7 @@ fn load_scenario_fracs(
 /// resilient runtime's per-cell degradations). Absent array -> empty.
 fn load_report_failures(path: &str) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let Some(rows) = doc.get("failures").and_then(Json::as_array) else {
         return Ok(Vec::new());
     };

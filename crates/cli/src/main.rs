@@ -18,7 +18,7 @@
 //! helix explore --seed 7 --budget 100       # property-fuzz generated scenarios
 //! helix serve --socket /tmp/helix.sock      # resident campaign service
 //! helix submit --socket /tmp/helix.sock campaigns/smoke.toml
-//! helix export scenarios/                   # (re)write the built-in specs
+//! helix export built-ins/                   # copy the built-in specs out
 //! ```
 
 use helix_rc::api::{self, CampaignSource, Request, Response, RunOptions, SpecSource};
@@ -26,7 +26,7 @@ use helix_rc::explore::ExploreOptions;
 use helix_rc::resilient::FaultPlan;
 use helix_rc::scenario::ScenarioReport;
 use helix_rc::service::{serve, submit, ServeOptions};
-use helix_rc::workloads::{builtin_specs, Scale, ScenarioSpec};
+use helix_rc::workloads::{Scale, ScenarioSpec, BUILTIN_SCENARIOS};
 use helix_rc::HelixError;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,7 +95,8 @@ COMMANDS:
              region printed. 'diff == empty' is the cache-hit /
              determinism check.
     export   Write the built-in scenario specs (SPEC stand-ins + novel
-             workloads) into a directory as TOML.
+             workloads) into a directory: the committed TOML files, as
+             embedded in the binary.
 
 OPTIONS:
     --cores N          Override the spec's core count (run/smoke/explore)
@@ -907,14 +908,13 @@ fn cmd_export(opts: &Options) -> Result<(), String> {
     };
     let dir = Path::new(dir);
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create '{}': {e}", dir.display()))?;
-    let specs = builtin_specs();
-    for spec in &specs {
-        let path = dir.join(format!("{}.toml", spec.name));
-        std::fs::write(&path, spec.to_toml())
+    for (name, text) in BUILTIN_SCENARIOS {
+        let path = dir.join(format!("{name}.toml"));
+        std::fs::write(&path, text)
             .map_err(|e| format!("cannot write '{}': {e}", path.display()))?;
         println!("wrote {}", path.display());
     }
-    println!("{} scenario(s) exported", specs.len());
+    println!("{} scenario(s) exported", BUILTIN_SCENARIOS.len());
     Ok(())
 }
 

@@ -513,8 +513,10 @@ fn run_scenario_request(source: &SpecSource, options: &RunOptions) -> Result<Res
             });
         }
     }
-    let report = run_scenario(&spec, scale, options.overrides())
-        .map_err(|e| e.with_field(spec.name.clone()))?;
+    let report = run_scenario(&spec, scale, options.overrides()).map_err(|e| match e.field {
+        Some(_) => e,
+        None => e.with_field(spec.name.clone()),
+    })?;
     let json = report.to_json();
     if let Some(j) = &journal {
         let _ = j.store(digest, &format!("helix-scenario v1\n{json}"));
@@ -603,10 +605,10 @@ pub fn diff_reports(a_name: &str, a_text: &str, b_name: &str, b_text: &str) -> (
 /// Wire protocol version carried in every envelope.
 pub const WIRE_VERSION: u64 = 1;
 
-/// A parsed JSON value — the reader half of the wire codec. The
-/// vendored `serde` is inert and `helix_bench`'s parser lives
-/// downstream of this crate, so the API carries its own minimal
-/// implementation.
+/// A parsed JSON value — the reader half of the wire codec, and the one
+/// JSON reader in the workspace (`perf_gate` reads `BENCH_*.json` and
+/// campaign reports with it). The vendored `serde` is inert, so this is
+/// a minimal strict recursive-descent implementation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -660,6 +662,14 @@ impl Json {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Numeric payload, if this is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -1395,9 +1405,13 @@ mod tests {
             v.get("b").unwrap().as_array().unwrap()[0].as_bool(),
             Some(true)
         );
-        assert!(Json::parse("{\"open\": ").is_err());
-        assert!(Json::parse("[1, 2,]").is_err());
-        assert!(Json::parse("nope").is_err());
+        let s = Json::parse(r#"{"s": "a\"b\\c\nd\u00e9\/"}"#).unwrap();
+        assert_eq!(s.get("s").unwrap().as_str(), Some("a\"b\\c\nd\u{e9}/"));
+
+        for malformed in ["{\"open\": ", "[1, 2,]", "nope", "\"\\q\""] {
+            let e = Json::parse(malformed).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Protocol, "{malformed}");
+        }
         let e = Json::parse("{]").unwrap_err();
         assert_eq!(e.kind, ErrorKind::Protocol);
     }
@@ -1626,14 +1640,21 @@ mod tests {
             }
             other => panic!("expected Explore, got {other:?}"),
         }
-        // Zero budget is a usage error.
-        let bad = execute(Request::Explore {
-            options: ExploreOptions {
+        // Zero budget, and a core count the helix-rc ring cannot take,
+        // are usage errors, not panics.
+        for options in [
+            ExploreOptions {
                 budget: 0,
                 ..ExploreOptions::default()
             },
-        });
-        assert_eq!(bad.exit_code(), 2);
+            ExploreOptions {
+                cores: 3,
+                ..ExploreOptions::default()
+            },
+        ] {
+            let bad = execute(Request::Explore { options });
+            assert_eq!(bad.exit_code(), 2);
+        }
     }
 
     #[test]
@@ -1657,5 +1678,57 @@ mod tests {
             .exit_code(),
             1
         );
+    }
+
+    /// A helix-rc run at a core count the ring cannot take is a typed
+    /// spec error naming the field and value, not a panic; sequential
+    /// and conventional runs at the same count still succeed.
+    #[test]
+    fn non_power_of_two_helix_cores_are_a_spec_error() {
+        use helix_workloads::spec::MachineKind;
+        let run = |spec: &helix_workloads::ScenarioSpec, cores: Option<usize>| {
+            let mut options = RunOptions::new();
+            options.cores = cores;
+            let request = Request::RunScenario {
+                source: SpecSource::Inline(spec.to_toml()),
+                options,
+            };
+            std::panic::catch_unwind(|| execute(request)).expect("execute must not panic")
+        };
+        let mut spec = builtin_spec("175.vpr").unwrap();
+        spec.run.cores = 12;
+        let cases = [
+            (spec.clone(), None, "run.cores", "12"),
+            (spec.clone(), Some(6), "--cores", "6"),
+        ];
+        for (spec, cores, field, value) in cases {
+            match run(&spec, cores) {
+                Response::Error(e) => {
+                    assert_eq!(e.kind.code(), "E_SPEC", "{e}");
+                    assert_eq!(e.field.as_deref(), Some(field), "{e}");
+                    assert_eq!(e.value.as_deref(), Some(value), "{e}");
+                    assert!(e.message.contains("power-of-two"), "{e}");
+                }
+                other => panic!("expected Error, got {other:?}"),
+            }
+        }
+        let mut swept = builtin_spec("175.vpr").unwrap();
+        swept.run.sweep_cores = vec![4, 3];
+        match run(&swept, None) {
+            Response::Error(e) => {
+                assert_eq!(e.kind.code(), "E_SPEC", "{e}");
+                assert_eq!(e.field.as_deref(), Some("run.sweep_cores"), "{e}");
+                assert_eq!(e.value.as_deref(), Some("3"), "{e}");
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+
+        spec.run.machines = vec![MachineKind::Sequential, MachineKind::Conventional];
+        match run(&spec, None) {
+            Response::Scenario { report, .. } => {
+                assert_eq!(report.expect("fresh run").cores, 12);
+            }
+            other => panic!("expected Scenario, got {other:?}"),
+        }
     }
 }

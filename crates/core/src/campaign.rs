@@ -1342,16 +1342,6 @@ fn derive_rows(
     derived
 }
 
-/// Load and run a campaign file in one call.
-///
-/// Legacy convenience: thin wrapper over [`load_campaign`] +
-/// [`run_campaign`]. Prefer the unified
-/// [`api::execute`](crate::api::execute) path in new code.
-pub fn run_campaign_file(path: &Path) -> Result<CampaignReport, ExpError> {
-    let (spec, scenarios) = load_campaign(path)?;
-    run_campaign(&spec, &scenarios)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

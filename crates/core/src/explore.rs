@@ -813,8 +813,15 @@ pub fn run_explore(opts: &ExploreOptions) -> Result<ExploreReport, HelixError> {
     if opts.budget == 0 {
         return Err(HelixError::usage("explore budget must be >= 1"));
     }
-    if opts.cores == 0 {
-        return Err(HelixError::usage("explore cores must be >= 1"));
+    // Every examined spec runs on a helix-rc machine, whose ring needs
+    // a power-of-two node count.
+    if !opts.cores.is_power_of_two() {
+        return Err(HelixError::usage(format!(
+            "explore cores must be a power of two, got {}",
+            opts.cores
+        ))
+        .with_field("--cores")
+        .with_value(opts.cores.to_string()));
     }
     let gen = SpecGen::new(opts.seed);
     let mut report = ExploreReport {

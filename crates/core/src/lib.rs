@@ -69,8 +69,8 @@ pub mod service;
 pub use api::{execute, CampaignSource, Request, Response, RunOptions, ServiceStatus, SpecSource};
 pub use batch::SimCache;
 pub use campaign::{
-    load_campaign, run_campaign, run_campaign_file, run_campaign_stats, run_campaign_with,
-    CampaignReport, CampaignRow, CampaignRunOptions, CampaignRunStats,
+    load_campaign, run_campaign, run_campaign_stats, run_campaign_with, CampaignReport,
+    CampaignRow, CampaignRunOptions, CampaignRunStats,
 };
 pub use error::{ErrorKind, HelixError};
 pub use experiment::{

@@ -60,7 +60,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Escape a string for embedding in the hand-rolled JSON reports
 /// (scenario reports, campaign reports, `bench_sim`): backslash, quote,
 /// and control characters. One definition so every emitter stays in
-/// sync with the reader in `helix_bench::json`.
+/// sync with the reader, [`crate::api::Json`].
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -4,6 +4,7 @@
 //! `cycles`, `cycles_per_sec`), so scenario reports and the perf
 //! snapshot can be consumed by the same tooling.
 
+use crate::error::{ErrorKind, HelixError};
 use crate::experiment::{check, ExpError};
 use helix_hcc::{compile, CompiledProgram, HccConfig};
 use helix_sim::{simulate, simulate_sequential, Bucket, MachineConfig, RunReport};
@@ -288,6 +289,37 @@ fn timed_run(
     Ok((report, t0.elapsed().as_secs_f64()))
 }
 
+/// The ring cache needs a power-of-two node count, so every core count
+/// the run builds a HELIX-RC machine at must be one: the main count
+/// when a `helix-rc` machine or the per-nest rows use it, and each
+/// `sweep_cores` entry. Sequential and conventional runs take any
+/// count, so this is a run-time check, not part of spec validation.
+fn check_helix_cores(spec: &ScenarioSpec, cores: usize, overridden: bool) -> Result<(), ExpError> {
+    let main_field = if overridden { "--cores" } else { "run.cores" };
+    let uses_helix = spec.run.machines.contains(&MachineKind::HelixRc) || !spec.nests.is_empty();
+    let counts = uses_helix.then_some((main_field, cores)).into_iter().chain(
+        spec.run
+            .sweep_cores
+            .iter()
+            .map(|&c| ("run.sweep_cores", c as usize)),
+    );
+    for (field, n) in counts {
+        if !n.is_power_of_two() {
+            return Err(HelixError::new(
+                ErrorKind::Spec,
+                format!(
+                    "scenario spec error: {}: a helix-rc machine needs a power-of-two \
+                     core count, got {n}",
+                    spec.name
+                ),
+            )
+            .with_field(field)
+            .with_value(n.to_string()));
+        }
+    }
+    Ok(())
+}
+
 /// Run one scenario end-to-end: generate the program, compile it with
 /// the spec's compiler generation, simulate every requested machine
 /// (plus the optional core-count sweep), and collect a report.
@@ -296,8 +328,9 @@ pub fn run_scenario(
     scale: Scale,
     overrides: RunOverrides,
 ) -> Result<ScenarioReport, ExpError> {
-    let program = generate(spec, scale)?;
     let cores = overrides.cores.unwrap_or(spec.run.cores as usize);
+    check_helix_cores(spec, cores, overrides.cores.is_some())?;
+    let program = generate(spec, scale)?;
     let fuel = overrides.fuel.unwrap_or(spec.run.fuel);
     let compiled = compile(&program, &hcc_config(spec.run.compiler, cores as u32))?;
 

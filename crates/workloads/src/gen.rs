@@ -3,10 +3,9 @@
 //! [`crate::common`].
 //!
 //! This is the *only* program constructor in the workspace: the SPEC
-//! stand-in functions in [`crate::cint`] / [`crate::cfp`] are thin shims
-//! over their pinned specs in [`crate::spec_builtin`], and the workspace
-//! tests pin the committed `scenarios/*.toml` files to those specs and
-//! to their historical cycle counts. Generation is a pure function of
+//! stand-ins and every other built-in are the committed
+//! `scenarios/*.toml` files ([`crate::BUILTIN_SCENARIOS`]) lowered
+//! through here. Generation is a pure function of
 //! `(spec, scale)` — distribution-driven tables are sampled host-side
 //! with a seeded [`SplitMix64`](helix_ir::rng::SplitMix64) — so the same
 //! spec file always yields the same program and the same report.
@@ -616,7 +615,7 @@ impl Cx<'_> {
     }
 
     // -----------------------------------------------------------------
-    // Benchmark-shaped templates (mirroring cint.rs / cfp.rs)
+    // Benchmark-shaped templates (the SPEC stand-ins' loop shapes)
     // -----------------------------------------------------------------
 
     #[allow(clippy::too_many_arguments)]
@@ -850,38 +849,8 @@ impl Cx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec_builtin::{builtin_spec, builtin_specs};
-    use crate::{cfp, cint};
+    use crate::{builtin_spec, builtin_specs};
     use helix_ir::interp::{run_to_completion, Env};
-
-    type Ctor = fn(Scale) -> Program;
-
-    /// The constructor shims in `cint`/`cfp` lower exactly their pinned
-    /// specs, at both scales (a mis-wired shim would silently swap
-    /// workloads).
-    #[test]
-    fn spec_programs_match_constructor_shims() {
-        let hand: Vec<(&str, Ctor)> = vec![
-            ("164.gzip", cint::gzip),
-            ("175.vpr", cint::vpr),
-            ("197.parser", cint::parser),
-            ("300.twolf", cint::twolf),
-            ("181.mcf", cint::mcf),
-            ("256.bzip2", cint::bzip2),
-            ("183.equake", cfp::equake),
-            ("179.art", cfp::art),
-            ("188.ammp", cfp::ammp),
-            ("177.mesa", cfp::mesa),
-        ];
-        for (name, ctor) in hand {
-            let spec = builtin_spec(name).unwrap_or_else(|| panic!("no spec for {name}"));
-            for scale in [Scale::Test, Scale::Full] {
-                let generated = generate(&spec, scale).expect(name);
-                let coded = ctor(scale);
-                assert_eq!(generated, coded, "{name} at {scale:?} diverges");
-            }
-        }
-    }
 
     #[test]
     fn all_builtin_specs_generate_valid_runnable_programs() {

@@ -16,7 +16,9 @@
 //! Workloads are *data*: a [`ScenarioSpec`] (TOML under `scenarios/`)
 //! describes regions, a phase pipeline — or, for multi-nest scenarios,
 //! an ordered list of [`NestSpec`]s with serial glue and carried state
-//! — and [`generate`] lowers it deterministically to a program. See
+//! — and [`generate`] lowers it deterministically to a program. The
+//! committed files are embedded as the built-ins
+//! ([`BUILTIN_SCENARIOS`]), so there is one definition of each. See
 //! `docs/SCENARIOS.md` for the full field reference.
 //!
 //! # Examples
@@ -36,13 +38,10 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod cfp;
-pub mod cint;
 pub mod common;
 pub mod gen;
 pub mod genspec;
 pub mod spec;
-pub mod spec_builtin;
 pub mod toml;
 
 pub use campaign::{
@@ -53,7 +52,6 @@ pub use common::Scale;
 pub use gen::{generate, generate_nest, generate_prefix, generate_with_nests, NestBoundary};
 pub use genspec::{generated_spec, SpecGen};
 pub use spec::{NestSpec, ScenarioSpec, SpecError};
-pub use spec_builtin::{builtin_spec, builtin_specs};
 
 use helix_ir::Program;
 use serde::{Deserialize, Serialize};
@@ -124,6 +122,65 @@ pub struct Workload {
     /// loop plans onto nests through these ranges to derive per-nest
     /// coverage and speedup.
     pub nests: Vec<NestBoundary>,
+}
+
+/// Embeds `scenarios/<name>.toml` for each name, as `(name, text)`.
+macro_rules! embed_scenarios {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, include_str!(concat!("../../../scenarios/", $name, ".toml")))),*]
+    };
+}
+
+/// The built-in scenarios: the committed `scenarios/*.toml` files,
+/// embedded verbatim as `(name, toml)` pairs. The ten SPEC stand-ins
+/// come first in the paper's reporting order, then the novel
+/// scenarios, then the multi-nest families, then the 1000-series
+/// server-traffic family. The files are the only definition; adding a
+/// built-in means committing its TOML and adding its name here.
+pub const BUILTIN_SCENARIOS: [(&str, &str); 23] = embed_scenarios![
+    "164.gzip",
+    "175.vpr",
+    "197.parser",
+    "300.twolf",
+    "181.mcf",
+    "256.bzip2",
+    "183.equake",
+    "179.art",
+    "188.ammp",
+    "177.mesa",
+    "900.chase",
+    "910.bursty",
+    "920.blend",
+    "930.zipf",
+    "940.phase",
+    "950.twonest",
+    "960.cov_hi",
+    "961.cov_mid",
+    "962.cov_lo",
+    "970.pipeline",
+    "1000.openloop",
+    "1010.closedloop",
+    "1020.tailburst",
+];
+
+fn parse_builtin(name: &str, text: &str) -> ScenarioSpec {
+    ScenarioSpec::from_toml(text).unwrap_or_else(|e| panic!("built-in scenario {name}: {e}"))
+}
+
+/// All built-in scenario specs, parsed, in [`BUILTIN_SCENARIOS`] order.
+pub fn builtin_specs() -> Vec<ScenarioSpec> {
+    BUILTIN_SCENARIOS
+        .iter()
+        .map(|(name, text)| parse_builtin(name, text))
+        .collect()
+}
+
+/// Look up a built-in spec by scenario name.
+pub fn builtin_spec(name: &str) -> Option<ScenarioSpec> {
+    BUILTIN_SCENARIOS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(name, text)| parse_builtin(name, text))
 }
 
 /// The six CINT2000 stand-ins, in the paper's reporting order.
@@ -378,6 +435,103 @@ mod tests {
                 v3.stats.coverage,
                 v1.stats.coverage
             );
+        }
+    }
+}
+
+/// Tests of the six SPEC CINT2000 stand-ins ([`cint_suite`]).
+#[cfg(test)]
+mod cint {
+    mod tests {
+        use crate::{by_name, cint_suite, Scale};
+        use helix_ir::interp::{run_to_completion, Env};
+
+        const NAMES: [&str; 6] = [
+            "164.gzip",
+            "175.vpr",
+            "197.parser",
+            "300.twolf",
+            "181.mcf",
+            "256.bzip2",
+        ];
+
+        #[test]
+        fn all_cint_programs_validate_and_run() {
+            for w in cint_suite(Scale::Test) {
+                let p = w.program;
+                assert!(p.validate().is_ok(), "{}", p.name);
+                let mut env = Env::for_program(&p);
+                let t = run_to_completion(&p, &mut env).expect(&p.name);
+                assert!(
+                    t.dyn_insts > 10_000,
+                    "{} too small: {}",
+                    p.name,
+                    t.dyn_insts
+                );
+            }
+        }
+
+        #[test]
+        fn programs_are_deterministic() {
+            let p1 = by_name("164.gzip", Scale::Test).unwrap().program;
+            let p2 = by_name("164.gzip", Scale::Test).unwrap().program;
+            assert_eq!(p1, p2);
+            let mut e1 = Env::for_program(&p1);
+            let mut e2 = Env::for_program(&p2);
+            run_to_completion(&p1, &mut e1).unwrap();
+            run_to_completion(&p2, &mut e2).unwrap();
+            assert_eq!(e1.mem.digest(), e2.mem.digest());
+        }
+
+        /// Each name must lower *its own* embedded spec, and the suite
+        /// lists the stand-ins in paper order.
+        #[test]
+        fn shims_lower_their_namesake_specs() {
+            for name in NAMES {
+                assert_eq!(by_name(name, Scale::Test).unwrap().program.name, name);
+            }
+            let suite: Vec<String> = cint_suite(Scale::Test)
+                .into_iter()
+                .map(|w| w.program.name)
+                .collect();
+            assert_eq!(suite, NAMES);
+        }
+    }
+}
+
+/// Tests of the four SPEC CFP2000 stand-ins ([`cfp_suite`]).
+#[cfg(test)]
+mod cfp {
+    mod tests {
+        use crate::{by_name, cfp_suite, Scale};
+        use helix_ir::interp::{run_to_completion, Env};
+        use helix_ir::Ty;
+
+        #[test]
+        fn all_cfp_programs_validate_and_run() {
+            for w in cfp_suite(Scale::Test) {
+                let p = w.program;
+                assert!(p.validate().is_ok(), "{}", p.name);
+                let mut env = Env::for_program(&p);
+                let t = run_to_completion(&p, &mut env).expect(&p.name);
+                assert!(
+                    t.dyn_insts > 10_000,
+                    "{} too small: {}",
+                    p.name,
+                    t.dyn_insts
+                );
+            }
+        }
+
+        #[test]
+        fn art_best_match_is_finite() {
+            let p = by_name("179.art", Scale::Test).unwrap().program;
+            let mut env = Env::for_program(&p);
+            run_to_completion(&p, &mut env).unwrap();
+            let out_idx = p.regions.iter().position(|r| r.name == "out").unwrap();
+            let base = env.mem.base_of(helix_ir::RegionId(out_idx as u32));
+            let v = env.mem.load(base, Ty::F64).unwrap().as_float();
+            assert!(v.is_finite() && v > 0.0);
         }
     }
 }

@@ -9,10 +9,9 @@
 //! a data-file change, not a code change: drop a `.toml` into
 //! `scenarios/` and the `helix` CLI compiles and simulates it.
 //!
-//! The ten SPEC CPU2000 stand-ins are themselves expressed as specs
-//! ([`builtin_specs`](crate::spec_builtin::builtin_specs)); the generator lowers them to programs
-//! bit-identical to the hand-coded constructors in [`crate::cint`] /
-//! [`crate::cfp`], which the test suite pins.
+//! The ten SPEC CPU2000 stand-ins are themselves specs: the committed
+//! `scenarios/*.toml` files, embedded as the built-ins
+//! ([`builtin_specs`](crate::builtin_specs)).
 
 use crate::common::Scale;
 use crate::toml::{self, Table, Value};
@@ -2069,7 +2068,7 @@ fn spec_from_table(root: &Table) -> Result<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec_builtin::{builtin_spec, builtin_specs};
+    use crate::{builtin_spec, builtin_specs, BUILTIN_SCENARIOS};
 
     #[test]
     fn count_expr_round_trip() {
@@ -2097,20 +2096,25 @@ mod tests {
         assert_eq!(CountExpr { per_n: 2, plus: 8 }.eval(5), 18);
     }
 
+    /// Every embedded file is named for its scenario, validates, and
+    /// is canonical: text -> spec -> text is byte-identical, so the
+    /// files `helix export` copies out are the files a spec serializes
+    /// to.
     #[test]
     fn builtin_specs_validate_and_round_trip() {
         let specs = builtin_specs();
-        assert!(
-            specs.len() >= 13,
-            "expected >= 13 builtins, got {}",
-            specs.len()
-        );
-        for spec in specs {
-            spec.validate().expect(&spec.name);
-            let text = spec.to_toml();
-            let parsed = ScenarioSpec::from_toml(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{text}", spec.name));
-            assert_eq!(parsed, spec, "round trip failed for {}", spec.name);
+        assert_eq!(specs.len(), BUILTIN_SCENARIOS.len());
+        for (spec, (name, text)) in specs.iter().zip(BUILTIN_SCENARIOS) {
+            assert_eq!(
+                spec.name, name,
+                "embedded file {name} names another scenario"
+            );
+            spec.validate().expect(name);
+            assert_eq!(
+                spec.to_toml(),
+                text,
+                "{name}: the committed file is not canonical"
+            );
         }
     }
 

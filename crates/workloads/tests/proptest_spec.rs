@@ -8,8 +8,7 @@ use helix_workloads::spec::{
     CarryOp, CarryOperand, CarrySpec, CountExpr, ElemTy, HotLoopSpec, NestSpec, OpSpec, PhaseSpec,
     RegionSpec, RunSpec, ScenarioSpec,
 };
-use helix_workloads::spec_builtin::builtin_specs;
-use helix_workloads::{Kind, Scale};
+use helix_workloads::{builtin_specs, Kind, Scale};
 use proptest::prelude::*;
 
 fn ri(name: &str, size: CountExpr) -> RegionSpec {

@@ -9,8 +9,7 @@ use helix_rc::campaign::run_campaign;
 use helix_rc::hcc::{compile, HccConfig};
 use helix_rc::scenario::{run_scenario, RunOverrides};
 use helix_rc::workloads::{
-    builtin_spec, workload_from_spec, CampaignExperiment, CampaignGrid, CampaignSpec, Scale,
-    ScenarioSpec,
+    workload_from_spec, CampaignExperiment, CampaignGrid, CampaignSpec, Scale, ScenarioSpec,
 };
 use std::path::PathBuf;
 
@@ -28,13 +27,12 @@ fn committed(name: &str) -> ScenarioSpec {
     ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Every committed multi-nest scenario matches its builtin, has >= 2
-/// nests, and the committed set covers the acceptance floor.
+/// Every committed multi-nest scenario has >= 2 nests, and the
+/// committed set covers the acceptance floor.
 #[test]
 fn committed_multi_nest_scenarios_cover_the_axis() {
     for name in MULTI_NEST {
         let spec = committed(name);
-        assert_eq!(spec, builtin_spec(name).unwrap(), "{name} drifted");
         assert!(spec.nests.len() >= 2, "{name} is not multi-nest");
     }
     // At least one scenario exercises nest-private regions, one carries
