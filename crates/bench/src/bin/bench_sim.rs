@@ -24,7 +24,7 @@
 //! run to the JSON — the profile that shows where the ring-path cycles
 //! go.
 
-use helix_rc::campaign::{load_campaign, run_campaign_stats, CampaignRunOptions};
+use helix_rc::campaign::{load_campaign, run_campaign};
 use helix_rc::experiment::{
     decoupling_lattice, sweep_core_count, ExperimentOptions, LatticePoint, FUEL,
 };
@@ -32,6 +32,7 @@ use helix_rc::hcc::{compile, HccConfig};
 use helix_rc::report::json_escape;
 use helix_rc::sim::{simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, SimSession};
 use helix_rc::workloads::{cint_suite, Scale, Workload};
+use helix_rc::RunOptions;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -210,21 +211,20 @@ fn campaign_full_times() -> (f64, f64, f64) {
     // The spec's native full scale: Test-scale cells are so small that
     // compile time dominates and the engine/batching deltas this row
     // exists to track disappear into the noise.
-    let run = |options: &CampaignRunOptions| {
+    let run = |options: RunOptions, sim: ExperimentOptions| {
         let t0 = Instant::now();
-        let (report, _) = run_campaign_stats(&spec, &scenarios, options).expect("full campaign");
+        let (report, _) = run_campaign(&spec, &scenarios, &options, &sim).expect("full campaign");
         (t0.elapsed().as_secs_f64(), report.to_json())
     };
-    let (after_secs, after_json) = run(&CampaignRunOptions {
-        lanes: 8,
-        ..CampaignRunOptions::default()
-    });
-    let (percell_secs, percell_json) = run(&CampaignRunOptions::default());
-    let (before_secs, before_json) = run(&CampaignRunOptions {
-        engine: Some(EngineSel::Tree),
-        fast_forward: false,
-        ..CampaignRunOptions::default()
-    });
+    let decoded = ExperimentOptions::default();
+    let (after_secs, after_json) = run(RunOptions::new().with_lanes(8), decoded.clone());
+    let (percell_secs, percell_json) = run(RunOptions::new(), decoded);
+    let (before_secs, before_json) = run(
+        RunOptions::new(),
+        ExperimentOptions::default()
+            .with_engine(EngineSel::Tree)
+            .without_fast_forward(),
+    );
     assert_eq!(
         after_json, percell_json,
         "batched campaign report differs from per-cell decoded run"

@@ -30,6 +30,7 @@ use helix_rc::hcc::{compile, HccConfig};
 use helix_rc::related::design_space_table;
 use helix_rc::report::{bar, pct, table, x};
 use helix_rc::workloads::{cint_suite, geomean, paper_row, suite, CampaignExperiment, Kind, Scale};
+use helix_rc::RunOptions;
 use std::path::PathBuf;
 
 /// Problem scale used by the harness (kept at `Test` so a full run of
@@ -99,7 +100,8 @@ fn scenario_campaign(
     if let Some(kind) = kind {
         scenarios.retain(|s| s.kind == kind);
     }
-    Ok(run_campaign(&campaign, &scenarios)?)
+    let sim = ExperimentOptions::default();
+    Ok(run_campaign(&campaign, &scenarios, &RunOptions::new(), &sim)?.0)
 }
 
 /// Look up a labelled point in a campaign row.

@@ -205,22 +205,15 @@ fn load_spec(path: &Path) -> Result<ScenarioSpec, String> {
 #[derive(Debug, Default)]
 struct Options {
     inputs: Vec<String>,
-    cores: Option<usize>,
-    fuel: Option<u64>,
-    full: bool,
+    /// What every request carries; the parser writes the run flags
+    /// here directly and folds the chaos flags into `faults`.
+    run: RunOptions,
     out: Option<PathBuf>,
     out_dir: Option<PathBuf>,
     seed: Option<u64>,
     budget: Option<usize>,
     export_dir: Option<PathBuf>,
     quiet: bool,
-    journal: Option<PathBuf>,
-    resume: bool,
-    lanes: Option<usize>,
-    attribution: bool,
-    retries: Option<i64>,
-    cycle_budget: Option<i64>,
-    wall_budget_ms: Option<i64>,
     socket: Option<PathBuf>,
     workers: Option<usize>,
     status: bool,
@@ -253,7 +246,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 if cores == 0 {
                     return Err("--cores must be >= 1".into());
                 }
-                opts.cores = Some(cores);
+                opts.run.cores = Some(cores);
             }
             "--fuel" => {
                 let fuel: u64 = value_of("--fuel")?
@@ -262,9 +255,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 if fuel == 0 {
                     return Err("--fuel must be >= 1".into());
                 }
-                opts.fuel = Some(fuel);
+                opts.run.fuel = Some(fuel);
             }
-            "--full" => opts.full = true,
+            "--full" => opts.run.scale = Some(Scale::Full),
             "--out" => opts.out = Some(PathBuf::from(value_of("--out")?)),
             "--out-dir" => opts.out_dir = Some(PathBuf::from(value_of("--out-dir")?)),
             "--seed" => {
@@ -285,8 +278,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--export-dir" => opts.export_dir = Some(PathBuf::from(value_of("--export-dir")?)),
             "--quiet" => opts.quiet = true,
-            "--journal" => opts.journal = Some(PathBuf::from(value_of("--journal")?)),
-            "--resume" => opts.resume = true,
+            "--journal" => opts.run.journal = Some(PathBuf::from(value_of("--journal")?)),
+            "--resume" => opts.run.resume = true,
             "--lanes" => {
                 let lanes: usize = value_of("--lanes")?
                     .parse()
@@ -294,25 +287,25 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 if lanes == 0 {
                     return Err("--lanes must be >= 1".into());
                 }
-                opts.lanes = Some(lanes);
+                opts.run.lanes = Some(lanes);
             }
-            "--attribution" => opts.attribution = true,
+            "--attribution" => opts.run.attribution = true,
             "--retries" => {
-                opts.retries = Some(
+                opts.run.max_retries = Some(
                     value_of("--retries")?
                         .parse()
                         .map_err(|e| format!("--retries: {e}"))?,
                 );
             }
             "--cycle-budget" => {
-                opts.cycle_budget = Some(
+                opts.run.cycle_budget = Some(
                     value_of("--cycle-budget")?
                         .parse()
                         .map_err(|e| format!("--cycle-budget: {e}"))?,
                 );
             }
             "--wall-budget-ms" => {
-                opts.wall_budget_ms = Some(
+                opts.run.wall_budget_ms = Some(
                     value_of("--wall-budget-ms")?
                         .parse()
                         .map_err(|e| format!("--wall-budget-ms: {e}"))?,
@@ -362,45 +355,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => opts.inputs.push(other.to_string()),
         }
     }
+    opts.run.faults = opts.chaos_seed.map(|seed| FaultPlan {
+        seed,
+        panics: opts.chaos_panics,
+        stalls: opts.chaos_stalls,
+        blowouts: opts.chaos_blowouts,
+        stall_ms: opts.chaos_stall_ms,
+        transient: opts.chaos_transient,
+    });
     Ok(opts)
-}
-
-impl Options {
-    fn scale(&self) -> Scale {
-        if self.full {
-            Scale::Full
-        } else {
-            Scale::Test
-        }
-    }
-
-    fn faults(&self) -> Option<FaultPlan> {
-        self.chaos_seed.map(|seed| FaultPlan {
-            seed,
-            panics: self.chaos_panics,
-            stalls: self.chaos_stalls,
-            blowouts: self.chaos_blowouts,
-            stall_ms: self.chaos_stall_ms,
-            transient: self.chaos_transient,
-        })
-    }
-
-    /// The unified [`RunOptions`] these CLI flags describe.
-    fn api_options(&self) -> RunOptions {
-        RunOptions {
-            scale: self.full.then_some(Scale::Full),
-            cores: self.cores,
-            fuel: self.fuel,
-            max_retries: self.retries,
-            cycle_budget: self.cycle_budget,
-            wall_budget_ms: self.wall_budget_ms,
-            journal: self.journal.clone(),
-            resume: self.resume,
-            faults: self.faults(),
-            lanes: self.lanes,
-            attribution: self.attribution,
-        }
-    }
 }
 
 fn print_report(report: &ScenarioReport, quiet: bool) {
@@ -472,7 +435,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     for file in &files {
         let response = api::execute(Request::RunScenario {
             source: SpecSource::Path(file.clone()),
-            options: opts.api_options(),
+            options: opts.run.clone(),
         });
         let (json, scenario_name) = match &response {
             Response::Scenario {
@@ -525,7 +488,7 @@ fn cmd_check(opts: &Options) -> Result<ExitCode, String> {
     for file in &files {
         let response = api::execute(Request::Check {
             source: SpecSource::Path(file.clone()),
-            scale: opts.scale(),
+            scale: opts.run.scenario_scale(),
         });
         match response {
             Response::Checked {
@@ -582,8 +545,8 @@ fn cmd_explore(opts: &Options) -> Result<ExitCode, String> {
         options: ExploreOptions {
             seed: opts.seed.unwrap_or(defaults.seed),
             budget: opts.budget.unwrap_or(defaults.budget),
-            cores: opts.cores.unwrap_or(defaults.cores),
-            fuel: opts.fuel.unwrap_or(defaults.fuel),
+            cores: opts.run.cores.unwrap_or(defaults.cores),
+            fuel: opts.run.fuel.unwrap_or(defaults.fuel),
             export_dir: opts.export_dir.clone(),
         },
     });
@@ -651,7 +614,7 @@ fn cmd_smoke(opts: &Options) -> Result<(), String> {
     for file in &files {
         let response = api::execute(Request::RunScenario {
             source: SpecSource::Path(file.clone()),
-            options: opts.api_options(),
+            options: opts.run.clone(),
         });
         match response {
             Response::Scenario {
@@ -694,7 +657,7 @@ fn cmd_smoke(opts: &Options) -> Result<(), String> {
 fn cmd_campaign(opts: &Options) -> Result<ExitCode, String> {
     // The grid comes from the campaign file; silently ignoring per-run
     // overrides would run a different sweep than the user asked for.
-    if opts.cores.is_some() || opts.fuel.is_some() {
+    if opts.run.cores.is_some() || opts.run.fuel.is_some() {
         return Err("campaign does not take --cores/--fuel: edit the campaign's [grid]".into());
     }
     if opts.out_dir.is_some() {
@@ -704,8 +667,8 @@ fn cmd_campaign(opts: &Options) -> Result<ExitCode, String> {
         return Err("campaign takes exactly one campaign file".into());
     };
     let path = Path::new(input);
-    let mut options = opts.api_options();
-    if options.journal.is_none() && opts.resume {
+    let mut options = opts.run.clone();
+    if options.journal.is_none() && options.resume {
         // --resume without --journal uses the campaign's sibling dir,
         // so "interrupt, re-run with --resume" needs no bookkeeping.
         options.journal = Some(PathBuf::from(format!("{}.journal", path.display())));
@@ -775,7 +738,7 @@ fn cmd_serve(opts: &Options) -> Result<ExitCode, String> {
         .clone()
         .ok_or("serve needs --socket PATH (e.g. --socket /tmp/helix.sock)")?;
     let mut serve_options = ServeOptions::new(socket);
-    if let Some(journal) = &opts.journal {
+    if let Some(journal) = &opts.run.journal {
         serve_options.journal = journal.clone();
     }
     if let Some(workers) = opts.workers {
@@ -810,12 +773,12 @@ fn cmd_submit(opts: &Options) -> Result<ExitCode, String> {
             let source = api::inline_campaign_source(path).map_err(|e| render_error(&e))?;
             Request::RunCampaign {
                 source,
-                options: opts.api_options(),
+                options: opts.run.clone(),
             }
         } else {
             Request::RunScenario {
                 source: SpecSource::Inline(text),
-                options: opts.api_options(),
+                options: opts.run.clone(),
             }
         }
     };

@@ -3,10 +3,9 @@
 //! One typed surface — [`Request`] in, [`Response`] out, via
 //! [`execute`] — backs the `helix` CLI subcommands (`run`, `check`,
 //! `campaign`, `diff`, `explore`), the resident service (`helix
-//! serve`), and the submit client. The legacy free functions
-//! ([`run_scenario`], [`run_campaign`](crate::campaign::run_campaign)
-//! and friends) remain
-//! as thin conveniences over the same machinery.
+//! serve`), and the submit client. Under it sit the two runner entry
+//! points, [`run_scenario`] and [`run_campaign`], which take the same
+//! [`RunOptions`].
 //!
 //! [`execute`] never returns `Err`: every failure becomes
 //! [`Response::Error`] carrying a structured
@@ -25,25 +24,23 @@
 //! inert, so this module carries its own small JSON reader/writer; see
 //! `docs/SERVICE.md` for the full schema.
 
-use crate::campaign::{
-    load_campaign, run_campaign_stats, CampaignReport, CampaignRunOptions, CampaignRunStats,
-};
+use crate::campaign::{load_campaign, run_campaign, CampaignReport, CampaignRunStats};
 use crate::error::{ErrorKind, HelixError};
+use crate::experiment::ExperimentOptions;
 use crate::explore::{run_explore, ExploreOptions, ExploreReport};
 use crate::report::{json_escape, SCHEMA_VERSION};
 use crate::resilient::{fnv1a, FaultPlan, Journal, FNV_OFFSET};
-use crate::scenario::{run_scenario, RunOverrides, ScenarioReport};
-use helix_workloads::{campaign_from_inline, generate, Scale, ScenarioSpec};
+use crate::scenario::{run_scenario, ScenarioReport};
+use helix_workloads::{campaign_from_inline, generate, Scale, ScenarioSpec, MAX_CORES};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Exit code for a campaign that completed but has failed cells.
 pub const EXIT_CELL_FAILURES: u8 = 3;
 
-/// One consolidated set of execution options, absorbing the historical
-/// [`RunOverrides`] (scenario side) / [`CampaignRunOptions`] (campaign
-/// side) split. Build with the `with_*` methods; unset fields defer to
-/// the spec.
+/// The one set of execution options, from the CLI flags through
+/// [`execute`] to [`run_scenario`] and [`run_campaign`]. Build with the
+/// `with_*` methods; unset fields defer to the spec.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {
     /// Problem scale. `None` keeps the campaign file's scale (or `Test`
@@ -153,29 +150,8 @@ impl RunOptions {
         self
     }
 
-    /// The scenario-side view of these options.
-    pub fn overrides(&self) -> RunOverrides {
-        RunOverrides {
-            cores: self.cores,
-            fuel: self.fuel,
-            attribution: self.attribution,
-        }
-    }
-
-    /// The campaign-execution-side view of these options.
-    pub fn campaign_options(&self) -> CampaignRunOptions {
-        CampaignRunOptions {
-            journal: self.journal.clone(),
-            resume: self.resume,
-            faults: self.faults.clone(),
-            lanes: self.lanes.unwrap_or(1),
-            engine: None,
-            fast_forward: true,
-        }
-    }
-
     /// Effective scale for a bare scenario run.
-    fn scenario_scale(&self) -> Scale {
+    pub fn scenario_scale(&self) -> Scale {
         self.scale.unwrap_or(Scale::Test)
     }
 }
@@ -397,9 +373,18 @@ pub fn execute(request: Request) -> Response {
 /// Reject option values no execution path can honor. `lanes == 0` in
 /// particular used to be silently clamped to 1; it is a usage error
 /// (the CLI rejects it the same way before a request is ever built).
+/// `cores` gets the bound a spec's `run.cores` has: a huge count would
+/// size per-core tables past the host's memory.
 fn validate_options(options: &RunOptions) -> Result<(), HelixError> {
     if options.lanes == Some(0) {
         return Err(HelixError::usage("lanes must be >= 1"));
+    }
+    if let Some(cores) = options.cores.filter(|c| !(1..=MAX_CORES).contains(c)) {
+        return Err(
+            HelixError::usage(format!("cores must be in 1..={MAX_CORES}, got {cores}"))
+                .with_field("cores")
+                .with_value(cores.to_string()),
+        );
     }
     Ok(())
 }
@@ -433,7 +418,7 @@ fn try_execute(request: Request) -> Result<Response, HelixError> {
             }
             spec.validate()?;
             let (report, stats) =
-                run_campaign_stats(&spec, &scenarios, &options.campaign_options())?;
+                run_campaign(&spec, &scenarios, &options, &ExperimentOptions::default())?;
             Ok(Response::Campaign {
                 json: report.to_json(),
                 table: report.table(),
@@ -513,7 +498,7 @@ fn run_scenario_request(source: &SpecSource, options: &RunOptions) -> Result<Res
             });
         }
     }
-    let report = run_scenario(&spec, scale, options.overrides()).map_err(|e| match e.field {
+    let report = run_scenario(&spec, options).map_err(|e| match e.field {
         Some(_) => e,
         None => e.with_field(spec.name.clone()),
     })?;
@@ -959,6 +944,12 @@ fn decode_options(value: Option<&Json>) -> Result<RunOptions, HelixError> {
             .as_i64()
             .ok_or_else(|| HelixError::protocol(format!("options.{key} must be an integer")))
     };
+    // Counts that only make sense positive: a negative value must not
+    // wrap into a huge one on the cast.
+    let positive = |field: &Json, key: &str| match int_of(field, key)? {
+        n if n >= 1 => Ok(n as u64),
+        _ => Err(HelixError::protocol(format!("options.{key} must be >= 1"))),
+    };
     if let Json::Obj(fields) = obj {
         for (key, field) in fields {
             match key.as_str() {
@@ -973,18 +964,12 @@ fn decode_options(value: Option<&Json>) -> Result<RunOptions, HelixError> {
                         }
                     });
                 }
-                "cores" => options.cores = Some(int_of(field, "cores")? as usize),
-                "fuel" => options.fuel = Some(int_of(field, "fuel")? as u64),
+                "cores" => options.cores = Some(positive(field, "cores")? as usize),
+                "fuel" => options.fuel = Some(positive(field, "fuel")?),
                 "max_retries" => options.max_retries = Some(int_of(field, "max_retries")?),
                 "cycle_budget" => options.cycle_budget = Some(int_of(field, "cycle_budget")?),
                 "wall_budget_ms" => options.wall_budget_ms = Some(int_of(field, "wall_budget_ms")?),
-                "lanes" => {
-                    let lanes = int_of(field, "lanes")?;
-                    if lanes < 1 {
-                        return Err(HelixError::protocol("options.lanes must be >= 1"));
-                    }
-                    options.lanes = Some(lanes as usize);
-                }
+                "lanes" => options.lanes = Some(positive(field, "lanes")? as usize),
                 "attribution" => {
                     options.attribution = field.as_bool().ok_or_else(|| {
                         HelixError::protocol("options.attribution must be a boolean")
@@ -1678,6 +1663,44 @@ mod tests {
             .exit_code(),
             1
         );
+    }
+
+    /// A `cores` override outside `1..=MAX_CORES` is a typed usage
+    /// error naming the field, raised before any machine is sized.
+    #[test]
+    fn out_of_range_cores_override_is_a_usage_error() {
+        let toml = builtin_spec("900.chase").unwrap().to_toml();
+        for cores in [0, 8192] {
+            let request = Request::RunScenario {
+                source: SpecSource::Inline(toml.clone()),
+                options: RunOptions::new().with_cores(cores),
+            };
+            match std::panic::catch_unwind(|| execute(request)).expect("execute must not panic") {
+                Response::Error(e) => {
+                    assert_eq!(e.kind.code(), "E_USAGE", "{e}");
+                    assert_eq!(e.field.as_deref(), Some("cores"), "{e}");
+                    assert_eq!(e.value, Some(cores.to_string()), "{e}");
+                }
+                other => panic!("cores={cores} must fail, got {other:?}"),
+            }
+        }
+    }
+
+    /// On the wire, a count that must be positive never wraps through
+    /// the integer cast: `cores`/`fuel` below 1 are protocol errors.
+    #[test]
+    fn wire_nonpositive_cores_and_fuel_are_protocol_errors() {
+        for options in [
+            r#"{"cores": -1}"#,
+            r#"{"cores": 0}"#,
+            r#"{"fuel": 0}"#,
+            r#"{"fuel": -5}"#,
+        ] {
+            let line =
+                format!(r#"{{"v": 1, "type": "run_scenario", "spec": "", "options": {options}}}"#);
+            let err = decode_request(&line).expect_err(options);
+            assert_eq!(err.kind.code(), "E_PROTOCOL", "{options}: {err}");
+        }
     }
 
     /// A helix-rc run at a core count the ring cannot take is a typed

@@ -11,6 +11,7 @@
 //! across runs of the same campaign + seed — the property the
 //! per-scenario CI speedup gate and the determinism tests rely on.
 
+use crate::api::RunOptions;
 use crate::batch::SimCache;
 use crate::experiment::{
     compiler_generations, coupled_vs_ring, decoupling_lattice, link_latency_settings,
@@ -19,11 +20,10 @@ use crate::experiment::{
 };
 use crate::report::json_escape as esc;
 use crate::resilient::{
-    fnv1a, run_cell_resilient, CellFailure, FailureKind, Fault, FaultPlan, Journal, FNV_OFFSET,
+    fnv1a, run_cell_resilient, CellFailure, FailureKind, Fault, Journal, FNV_OFFSET,
 };
 use crate::scenario::nest_rows;
 use helix_hcc::{compile, HccConfig};
-use helix_sim::EngineSel;
 use helix_workloads::spec::{CompilerGen, CountExpr};
 use helix_workloads::{
     geomean, workload_from_spec, CampaignExperiment, CampaignSpec, ScenarioSpec, Workload,
@@ -31,7 +31,7 @@ use helix_workloads::{
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// One aggregated grid cell: a scenario measured by one experiment at
@@ -711,59 +711,6 @@ pub fn load_campaign(path: &Path) -> Result<(CampaignSpec, Vec<ScenarioSpec>), E
     Ok((spec, scenarios))
 }
 
-/// Execution-layer options for [`run_campaign_with`]: journaling,
-/// resume, chaos injection, and lane-parallel batching. The default
-/// (no journal, no resume, no faults, single-lane) reproduces the
-/// plain in-memory behaviour of [`run_campaign`].
-///
-/// None of these options affect report *content* — a batched run is
-/// byte-identical to a single-lane one (pinned by
-/// `tests/lane_exactness.rs`); they only change how the work is
-/// executed.
-#[derive(Debug, Clone)]
-pub struct CampaignRunOptions {
-    /// Journal completed cells under this directory (one content-keyed
-    /// file per cell; see [`Journal`]).
-    pub journal: Option<PathBuf>,
-    /// Reuse journaled cells instead of re-running them. Requires
-    /// `journal`.
-    pub resume: bool,
-    /// Seeded chaos: inject faults into a deterministic subset of
-    /// cells.
-    pub faults: Option<FaultPlan>,
-    /// Lane width for batched simulation. `<= 1` (the default) runs
-    /// every cell standalone, exactly as before lanes existed. `> 1`
-    /// shares one [`SimCache`] across each scenario's cells — compiles,
-    /// decodes, and duplicated runs (sequential baselines above all)
-    /// happen once — and steps up to this many simulations of a
-    /// scenario in lockstep per [`helix_sim::SimSession`] batch.
-    /// Fault-injected cells always run single-lane without the shared
-    /// cache, preserving per-cell failure isolation.
-    pub lanes: usize,
-    /// Engine override for every cell. `None` picks
-    /// [`EngineSel::Batched`] when `lanes > 1` and the decoded default
-    /// otherwise; the bench harness pins [`EngineSel::Tree`] here to
-    /// time the naive per-cell baseline.
-    pub engine: Option<EngineSel>,
-    /// Event-skipping fast-forward (on by default). The bench harness
-    /// disables it to time the naive one-cycle-at-a-time loop as the
-    /// pre-optimization "before"; reports stay byte-identical.
-    pub fast_forward: bool,
-}
-
-impl Default for CampaignRunOptions {
-    fn default() -> CampaignRunOptions {
-        CampaignRunOptions {
-            journal: None,
-            resume: false,
-            faults: None,
-            lanes: 1,
-            engine: None,
-            fast_forward: true,
-        }
-    }
-}
-
 /// Execution counters of one campaign run: how many grid cells were
 /// enumerated and how each was answered. Deliberately *not* part of
 /// [`CampaignReport`] — hit counts depend on journal state, and the
@@ -797,34 +744,23 @@ impl CampaignRunStats {
 /// Run a campaign over already-loaded scenario specs: apply the
 /// campaign's seed offset, lower every grid cell onto its experiment
 /// function, execute the cells in parallel, and aggregate in a stable
-/// order.
+/// order. Returns the report plus execution counters.
 ///
-/// Legacy convenience: thin wrapper over the unified
-/// [`api::execute`](crate::api::execute) path (equivalently
-/// [`run_campaign_stats`] with default options). Prefer building an
-/// [`api::Request`](crate::api::Request) in new code.
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    scenarios: &[ScenarioSpec],
-) -> Result<CampaignReport, ExpError> {
-    run_campaign_with(spec, scenarios, &CampaignRunOptions::default())
-}
-
-/// [`run_campaign`] under explicit [`CampaignRunOptions`].
+/// Of `options` the runner reads `journal`, `resume`, `faults` and
+/// `lanes`; the spec already carries the scale and the `[resilience]`
+/// policy (callers apply those overrides first, as
+/// [`api::execute`](crate::api::execute) does). Of `sim` it reads the
+/// engine and `fast_forward`: its fuel, lanes and cache are set per
+/// cell. None of this changes report *content* — any lane width and any
+/// engine give byte-identical reports (pinned by
+/// `tests/lane_exactness.rs`).
 ///
-/// Legacy convenience: discards the [`CampaignRunStats`] that
-/// [`run_campaign_stats`] returns. Prefer the unified
-/// [`api::execute`](crate::api::execute) path in new code.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    scenarios: &[ScenarioSpec],
-    options: &CampaignRunOptions,
-) -> Result<CampaignReport, ExpError> {
-    run_campaign_stats(spec, scenarios, options).map(|(report, _)| report)
-}
-
-/// The full campaign runner: [`run_campaign_with`] semantics plus
-/// execution counters.
+/// With `lanes > 1` every scenario shares one [`SimCache`] across its
+/// cells — compiles, decodes, and duplicated runs (sequential baselines
+/// above all) happen once — and up to `lanes` simulations of a scenario
+/// step in lockstep per [`helix_sim::SimSession`] batch. Fault-injected
+/// cells always run single-lane without the shared cache, preserving
+/// per-cell failure isolation.
 ///
 /// Every cell runs behind the resilient layer
 /// ([`run_cell_resilient`]): panics are caught at the cell boundary,
@@ -838,10 +774,11 @@ pub fn run_campaign_with(
 /// re-runs only that scenario's cells. When every entry hits, the
 /// returned [`CampaignRunStats::fully_cached`] is true and the run
 /// never touched the simulator.
-pub fn run_campaign_stats(
+pub fn run_campaign(
     spec: &CampaignSpec,
     scenarios: &[ScenarioSpec],
-    options: &CampaignRunOptions,
+    options: &RunOptions,
+    sim: &ExperimentOptions,
 ) -> Result<(CampaignReport, CampaignRunStats), ExpError> {
     use crate::error::ErrorKind;
     spec.validate().map_err(ExpError::from)?;
@@ -974,19 +911,12 @@ pub fn run_campaign_stats(
 
     // Lane-parallel batching: with `lanes > 1` every scenario gets one
     // shared SimCache (compile/decode/report dedup across its cells)
-    // and cells run under the batched engine. Cached values are
+    // and cells step in lockstep sessions. Cached values are
     // deterministic, so the report stays byte-identical to a
     // single-lane run.
-    let lanes = options.lanes.max(1);
-    let engine = options.engine.unwrap_or(if lanes > 1 {
-        EngineSel::Batched
-    } else {
-        EngineSel::Decoded
-    });
-    let mut base_opts = ExperimentOptions::default()
-        .with_engine(engine)
-        .with_lanes(lanes);
-    base_opts.fast_forward = options.fast_forward;
+    let lanes = options.lanes.unwrap_or(1).max(1);
+    let mut base_opts = sim.clone().with_lanes(lanes);
+    base_opts.cache = None;
     let caches: Vec<Option<Arc<SimCache>>> = workloads
         .iter()
         .map(|_| (lanes > 1).then(|| Arc::new(SimCache::new())))
@@ -1346,7 +1276,17 @@ fn derive_rows(
 mod tests {
     use super::*;
     use crate::experiment::compiler_generations;
+    use crate::resilient::FaultPlan;
     use helix_workloads::{builtin_spec, CampaignGrid, Scale};
+    use std::path::PathBuf;
+
+    fn run(
+        spec: &CampaignSpec,
+        scenarios: &[ScenarioSpec],
+        options: &RunOptions,
+    ) -> Result<CampaignReport, ExpError> {
+        run_campaign(spec, scenarios, options, &ExperimentOptions::default()).map(|(r, _)| r)
+    }
 
     fn tiny_campaign(experiments: Vec<CampaignExperiment>) -> (CampaignSpec, Vec<ScenarioSpec>) {
         let spec = CampaignSpec {
@@ -1371,7 +1311,7 @@ mod tests {
     #[test]
     fn generations_cell_matches_direct_experiment_call() {
         let (spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
-        let report = run_campaign(&spec, &scenarios).unwrap();
+        let report = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
 
@@ -1398,8 +1338,8 @@ mod tests {
             CampaignExperiment::Generations,
             CampaignExperiment::CoupledVsRing,
         ]);
-        let a = run_campaign(&spec, &scenarios).unwrap();
-        let b = run_campaign(&spec, &scenarios).unwrap();
+        let a = run(&spec, &scenarios, &RunOptions::new()).unwrap();
+        let b = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -1409,9 +1349,9 @@ mod tests {
     fn seed_offset_changes_distribution_scenarios() {
         let (mut spec, _) = tiny_campaign(vec![CampaignExperiment::Generations]);
         let scenarios = vec![builtin_spec("910.bursty").unwrap()];
-        let base = run_campaign(&spec, &scenarios).unwrap();
+        let base = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         spec.seed = 1;
-        let reseeded = run_campaign(&spec, &scenarios).unwrap();
+        let reseeded = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         assert_eq!(reseeded.seed, 1);
         assert_ne!(
             base.rows[0].seq_cycles, reseeded.rows[0].seq_cycles,
@@ -1425,7 +1365,7 @@ mod tests {
             CampaignExperiment::CoupledVsRing,
             CampaignExperiment::Generations,
         ]);
-        let report = run_campaign(&spec, &scenarios).unwrap();
+        let report = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         let speedups = report.helix_speedups();
         assert_eq!(speedups.len(), 1);
         assert_eq!(speedups[0].0, "175.vpr");
@@ -1435,7 +1375,7 @@ mod tests {
     #[test]
     fn table_renders_geomeans_and_groups() {
         let (spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
-        let report = run_campaign(&spec, &scenarios).unwrap();
+        let report = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         let text = report.table();
         assert!(text.contains("== generations @ 8 cores =="), "{text}");
         assert!(text.contains("INT geomean"), "{text}");
@@ -1445,7 +1385,7 @@ mod tests {
     #[test]
     fn empty_scenario_set_is_an_error() {
         let (spec, _) = tiny_campaign(vec![CampaignExperiment::Generations]);
-        assert!(run_campaign(&spec, &[]).is_err());
+        assert!(run(&spec, &[], &RunOptions::new()).is_err());
     }
 
     fn temp_journal(tag: &str) -> PathBuf {
@@ -1461,15 +1401,15 @@ mod tests {
             CampaignExperiment::CoupledVsRing,
         ]);
         spec.resilience.max_retries = 0;
-        let options = CampaignRunOptions {
+        let options = RunOptions {
             faults: Some(FaultPlan {
                 seed: 1,
                 panics: 1,
                 ..FaultPlan::default()
             }),
-            ..CampaignRunOptions::default()
+            ..RunOptions::default()
         };
-        let report = run_campaign_with(&spec, &scenarios, &options).unwrap();
+        let report = run(&spec, &scenarios, &options).unwrap();
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
         assert_eq!(report.failures[0].kind, FailureKind::Panic);
         assert!(report.failures[0].message.contains("chaos"));
@@ -1485,17 +1425,17 @@ mod tests {
     #[test]
     fn transient_fault_recovers_and_matches_clean_run() {
         let (spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
-        let clean = run_campaign(&spec, &scenarios).unwrap();
-        let options = CampaignRunOptions {
+        let clean = run(&spec, &scenarios, &RunOptions::new()).unwrap();
+        let options = RunOptions {
             faults: Some(FaultPlan {
                 seed: 3,
                 panics: 1,
                 transient: true,
                 ..FaultPlan::default()
             }),
-            ..CampaignRunOptions::default()
+            ..RunOptions::default()
         };
-        let recovered = run_campaign_with(&spec, &scenarios, &options).unwrap();
+        let recovered = run(&spec, &scenarios, &options).unwrap();
         assert!(recovered.failures.is_empty(), "{:?}", recovered.failures);
         assert_eq!(clean.to_json(), recovered.to_json());
     }
@@ -1510,31 +1450,31 @@ mod tests {
             CampaignExperiment::CoupledVsRing,
         ]);
         spec.resilience.max_retries = 0;
-        let clean = run_campaign(&spec, &scenarios).unwrap();
+        let clean = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         let dir = temp_journal("resume");
         std::fs::remove_dir_all(&dir).ok();
-        let interrupted = run_campaign_with(
+        let interrupted = run(
             &spec,
             &scenarios,
-            &CampaignRunOptions {
+            &RunOptions {
                 journal: Some(dir.clone()),
                 faults: Some(FaultPlan {
                     seed: 1,
                     panics: 1,
                     ..FaultPlan::default()
                 }),
-                ..CampaignRunOptions::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
         assert_eq!(interrupted.failures.len(), 1);
-        let resumed = run_campaign_with(
+        let resumed = run(
             &spec,
             &scenarios,
-            &CampaignRunOptions {
+            &RunOptions {
                 journal: Some(dir.clone()),
                 resume: true,
-                ..CampaignRunOptions::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -1550,11 +1490,11 @@ mod tests {
         let (spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
         let dir = temp_journal("trust");
         std::fs::remove_dir_all(&dir).ok();
-        let options = CampaignRunOptions {
+        let options = RunOptions {
             journal: Some(dir.clone()),
-            ..CampaignRunOptions::default()
+            ..RunOptions::default()
         };
-        run_campaign_with(&spec, &scenarios, &options).unwrap();
+        run(&spec, &scenarios, &options).unwrap();
         // Tamper with the one journaled cell: seq_cycles -> 424242.
         let mut tampered = 0;
         for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
@@ -1578,13 +1518,13 @@ mod tests {
             }
         }
         assert_eq!(tampered, 1);
-        let resumed = run_campaign_with(
+        let resumed = run(
             &spec,
             &scenarios,
-            &CampaignRunOptions {
+            &RunOptions {
                 journal: Some(dir.clone()),
                 resume: true,
-                ..CampaignRunOptions::default()
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -1598,8 +1538,8 @@ mod tests {
     fn cycle_budget_failures_are_deterministic() {
         let (mut spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
         spec.resilience.cycle_budget = 1000;
-        let a = run_campaign(&spec, &scenarios).unwrap();
-        let b = run_campaign(&spec, &scenarios).unwrap();
+        let a = run(&spec, &scenarios, &RunOptions::new()).unwrap();
+        let b = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         assert!(!a.failures.is_empty());
         assert!(a
             .failures

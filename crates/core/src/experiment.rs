@@ -31,10 +31,9 @@ pub struct ExperimentOptions {
     pub fuel: u64,
     /// Execution engine every simulation in the experiment runs under.
     pub engine: EngineSel,
-    /// Lane width for batched execution: with
-    /// [`EngineSel::Batched`], up to this many simulations of the same
-    /// program step in lockstep per [`SimSession`] batch. Ignored (and
-    /// harmless) under the other engines.
+    /// Lane width: `> 1` steps up to this many simulations of the same
+    /// program in lockstep per [`SimSession`] batch; `1` runs each
+    /// simulation standalone. Either way the reports are identical.
     pub lanes: usize,
     /// Per-scenario memo for compiles, decodes, and run reports.
     /// Campaigns share one cache across every cell of a scenario so
@@ -109,9 +108,9 @@ impl ExperimentOptions {
 
 /// Run `cfgs` over one (program, plans) pair under `opts`: engine
 /// selection applied uniformly, report memoization through the cache,
-/// and — under [`EngineSel::Batched`] — cache misses stepped in
-/// lockstep as lanes of one [`SimSession`] (in batches of `opts.lanes`)
-/// over a single shared decode. `decode_key` identifies the program in
+/// and — with `opts.lanes > 1` — cache misses stepped in lockstep as
+/// lanes of one [`SimSession`] (in batches of `opts.lanes`) over a
+/// single shared decode. `decode_key` identifies the program in
 /// the cache ([`SEQ_KEY`] or a compile key).
 ///
 /// Every path produces bit-identical reports; they differ only in how
@@ -146,7 +145,7 @@ fn run_batch(
         (Some(cache), true) => Some(cache.decoded(decode_key, program)),
         _ => None,
     };
-    if opts.engine == EngineSel::Batched && misses.len() > 1 {
+    if opts.lanes > 1 && misses.len() > 1 {
         // Event-cooperative lanes over one shared decode, `opts.lanes`
         // at a time, on a single session: machines retired by one chunk
         // are recycled by the next, and the scenario cache carries the
@@ -159,7 +158,7 @@ fn run_batch(
             session.set_pool(cache.take_pool());
         }
         let mut outcome: Result<(), ExpError> = Ok(());
-        'chunks: for chunk in misses.chunks(opts.lanes.max(1)) {
+        'chunks: for chunk in misses.chunks(opts.lanes) {
             for &ix in chunk {
                 session.enqueue(cfgs[ix].clone(), opts.fuel);
             }
@@ -426,8 +425,8 @@ impl LatticePoint {
 /// Speedups across the decoupling lattice for one workload (Fig. 8).
 /// The five lattice points compile at most twice (HCCv2 for the
 /// baseline bar, HCCv3 for the rest), and the four HCCv3 points run as
-/// one batch over a shared program — lockstep lanes under
-/// [`EngineSel::Batched`].
+/// one batch over a shared program — lockstep lanes when
+/// `opts.lanes > 1`.
 pub fn decoupling_lattice(
     w: &Workload,
     cores: usize,
@@ -673,8 +672,8 @@ pub fn sweep_core_count(
 
 /// Sweep a ring-cache parameter; `set` mutates the default ring config.
 /// The compiled program, its decode, and the baseline are shared; every
-/// sweep point rides the same `run_batch` call, so under the batched
-/// engine the whole sweep steps in lockstep as lanes of one session.
+/// sweep point rides the same `run_batch` call, so with `opts.lanes > 1`
+/// the whole sweep steps in lockstep as lanes of one session.
 pub fn sweep_ring<F: Fn(&mut RingConfig) + Sync>(
     w: &Workload,
     cores: usize,

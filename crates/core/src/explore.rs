@@ -49,7 +49,7 @@ use helix_sim::{
     SimSession,
 };
 use helix_workloads::spec::{CompilerGen, OpSpec, PhaseSpec};
-use helix_workloads::{generate, Scale, ScenarioSpec, SpecGen};
+use helix_workloads::{generate, Scale, ScenarioSpec, SpecGen, MAX_CORES};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -814,10 +814,10 @@ pub fn run_explore(opts: &ExploreOptions) -> Result<ExploreReport, HelixError> {
         return Err(HelixError::usage("explore budget must be >= 1"));
     }
     // Every examined spec runs on a helix-rc machine, whose ring needs
-    // a power-of-two node count.
-    if !opts.cores.is_power_of_two() {
+    // a power-of-two node count, bounded like any other core count.
+    if !opts.cores.is_power_of_two() || opts.cores > MAX_CORES {
         return Err(HelixError::usage(format!(
-            "explore cores must be a power of two, got {}",
+            "explore cores must be a power of two in 1..={MAX_CORES}, got {}",
             opts.cores
         ))
         .with_field("--cores")

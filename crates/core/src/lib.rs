@@ -68,10 +68,7 @@ pub mod service;
 
 pub use api::{execute, CampaignSource, Request, Response, RunOptions, ServiceStatus, SpecSource};
 pub use batch::SimCache;
-pub use campaign::{
-    load_campaign, run_campaign, run_campaign_stats, run_campaign_with, CampaignReport,
-    CampaignRow, CampaignRunOptions, CampaignRunStats,
-};
+pub use campaign::{load_campaign, run_campaign, CampaignReport, CampaignRow, CampaignRunStats};
 pub use error::{ErrorKind, HelixError};
 pub use experiment::{
     compiler_generations, core_type_sweep, coupled_vs_ring, decoupling_lattice, iteration_lengths,
@@ -80,7 +77,7 @@ pub use experiment::{
 };
 pub use explore::{run_explore, shrink_spec, ExploreOptions, ExploreReport};
 pub use resilient::{CellFailure, FailureKind, FaultPlan, Journal};
-pub use scenario::{run_scenario, RunOverrides, ScenarioReport};
+pub use scenario::{run_scenario, ScenarioReport};
 pub use service::{serve, submit, ServeOptions};
 
 // Re-export the full stack so downstream users need one dependency.

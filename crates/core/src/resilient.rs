@@ -24,6 +24,7 @@ use helix_workloads::ResiliencePolicy;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::error::ErrorKind;
@@ -189,8 +190,11 @@ impl FaultPlan {
 
 /// On-disk store of completed cells, keyed by content digest: one
 /// `<16-hex-digits>.cell` file per cell under the journal directory.
-/// Writes go through a temp file + rename so a cell file is either
-/// absent or complete, never truncated, even across a crash.
+/// Each write goes through a temp file of its own and a rename, so a
+/// reader sees a cell file either absent or complete — also while
+/// other threads or processes store the same digest. Nothing is
+/// fsynced, so this holds across a crash of the process, not across an
+/// OS crash or power loss.
 #[derive(Debug, Clone)]
 pub struct Journal {
     dir: PathBuf,
@@ -224,10 +228,18 @@ impl Journal {
         std::fs::read_to_string(self.path_of(digest)).ok()
     }
 
-    /// Durably store a completed cell under `digest`.
+    /// Store a completed cell under `digest`, replacing any earlier
+    /// copy in one atomic rename.
     pub fn store(&self, digest: u64, text: &str) -> Result<(), ExpError> {
+        // A temp name per write: writers of the same digest (two
+        // campaigns sharing a cell) never truncate each other's file.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let path = self.path_of(digest);
-        let tmp = self.dir.join(format!("{digest:016x}.tmp"));
+        let tmp = self.dir.join(format!(
+            "{digest:016x}.{}.{}.tmp",
+            std::process::id(),
+            WRITES.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&tmp, text).map_err(|e| {
             ExpError::io(format!(
                 "cannot write journal cell '{}': {e}",
@@ -561,6 +573,66 @@ mod tests {
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writers racing on one digest (two campaigns sharing a cell)
+    /// never publish a torn file: every concurrent load sees nothing or
+    /// one complete payload, every store succeeds, and no temp file is
+    /// left behind.
+    #[test]
+    fn concurrent_same_digest_stores_never_tear() {
+        let dir = std::env::temp_dir().join(format!(
+            "helix-journal-test-{}-{:x}",
+            std::process::id(),
+            fnv1a(FNV_OFFSET, b"concurrent_same_digest")
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let j = Journal::open(&dir).unwrap();
+        let payloads: Vec<String> = (0..8u8)
+            .map(|t| format!("{t}{}\n", "x".repeat(8192 * (t as usize + 1))))
+            .collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // Loader and writers all start together, so the stores overlap.
+        let start = std::sync::Barrier::new(payloads.len() + 1);
+        std::thread::scope(|scope| {
+            let loader = scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::SeqCst) {
+                    if let Some(text) = j.load(0xbeef) {
+                        assert!(
+                            payloads.contains(&text),
+                            "torn load of {} bytes",
+                            text.len()
+                        );
+                    }
+                }
+            });
+            let writers: Vec<_> = payloads
+                .iter()
+                .map(|payload| {
+                    let (j, start) = (&j, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..50).try_for_each(|_| j.store(0xbeef, payload))
+                    })
+                })
+                .collect();
+            let stored: Vec<_> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            // Stop the loader before any assertion can unwind the scope.
+            done.store(true, Ordering::SeqCst);
+            loader.join().unwrap();
+            for result in stored {
+                result.unwrap();
+            }
+        });
+        assert!(payloads.contains(&j.load(0xbeef).unwrap()));
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

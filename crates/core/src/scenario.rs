@@ -4,6 +4,7 @@
 //! `cycles`, `cycles_per_sec`), so scenario reports and the perf
 //! snapshot can be consumed by the same tooling.
 
+use crate::api::RunOptions;
 use crate::error::{ErrorKind, HelixError};
 use crate::experiment::{check, ExpError};
 use helix_hcc::{compile, CompiledProgram, HccConfig};
@@ -12,19 +13,6 @@ use helix_workloads::spec::{CompilerGen, MachineKind};
 use helix_workloads::{generate, generate_nest, generate_prefix, Scale, ScenarioSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Command-line overrides applied on top of a spec's `[run]` section.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOverrides {
-    /// Override the core count.
-    pub cores: Option<usize>,
-    /// Override the cycle budget.
-    pub fuel: Option<u64>,
-    /// Attach the per-stall-cause cycle breakdown (the Fig. 12 buckets)
-    /// to every run row. Off by default: the breakdown is diagnostic
-    /// output, and rows stay lean unless asked for.
-    pub attribution: bool,
-}
 
 /// One simulated configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,15 +311,16 @@ fn check_helix_cores(spec: &ScenarioSpec, cores: usize, overridden: bool) -> Res
 /// Run one scenario end-to-end: generate the program, compile it with
 /// the spec's compiler generation, simulate every requested machine
 /// (plus the optional core-count sweep), and collect a report.
-pub fn run_scenario(
-    spec: &ScenarioSpec,
-    scale: Scale,
-    overrides: RunOverrides,
-) -> Result<ScenarioReport, ExpError> {
-    let cores = overrides.cores.unwrap_or(spec.run.cores as usize);
-    check_helix_cores(spec, cores, overrides.cores.is_some())?;
+///
+/// Of `options` it reads the scale (default `Test`), the `cores` and
+/// `fuel` overrides of the spec's `[run]` section, and `attribution`;
+/// the campaign-only fields are ignored.
+pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<ScenarioReport, ExpError> {
+    let scale = options.scenario_scale();
+    let cores = options.cores.unwrap_or(spec.run.cores as usize);
+    check_helix_cores(spec, cores, options.cores.is_some())?;
     let program = generate(spec, scale)?;
-    let fuel = overrides.fuel.unwrap_or(spec.run.fuel);
+    let fuel = options.fuel.unwrap_or(spec.run.fuel);
     let compiled = compile(&program, &hcc_config(spec.run.compiler, cores as u32))?;
 
     let mut runs = Vec::new();
@@ -354,7 +343,7 @@ pub fn run_scenario(
             mem_digest: report.mem_digest,
             wall_secs,
             speedup_vs_sequential: None,
-            attribution: overrides.attribution.then(|| bucket_totals(&report)),
+            attribution: options.attribution.then(|| bucket_totals(&report)),
         });
     }
     // Speedups are filled in after the loop so they do not depend on
@@ -400,7 +389,7 @@ pub fn run_scenario(
             mem_digest: report.mem_digest,
             wall_secs,
             speedup_vs_sequential: Some(seq_cycles as f64 / report.cycles.max(1) as f64),
-            attribution: overrides.attribution.then(|| bucket_totals(&report)),
+            attribution: options.attribution.then(|| bucket_totals(&report)),
         });
     }
 
@@ -503,7 +492,7 @@ mod tests {
     fn runs_a_spec_end_to_end() {
         let mut spec = builtin_spec("175.vpr").unwrap();
         spec.run.cores = 8;
-        let report = run_scenario(&spec, Scale::Test, RunOverrides::default()).unwrap();
+        let report = run_scenario(&spec, &RunOptions::new()).unwrap();
         assert_eq!(report.scenario, "175.vpr");
         assert_eq!(report.runs.len(), 3);
         assert!(report.coverage > 0.5, "coverage {}", report.coverage);
@@ -525,16 +514,7 @@ mod tests {
     #[test]
     fn overrides_change_cores() {
         let spec = builtin_spec("900.chase").unwrap();
-        let report = run_scenario(
-            &spec,
-            Scale::Test,
-            RunOverrides {
-                cores: Some(4),
-                fuel: None,
-                ..RunOverrides::default()
-            },
-        )
-        .unwrap();
+        let report = run_scenario(&spec, &RunOptions::new().with_cores(4)).unwrap();
         assert_eq!(report.cores, 4);
         assert!(report.runs.iter().all(|r| r.config.ends_with("-4")));
     }
@@ -542,8 +522,8 @@ mod tests {
     #[test]
     fn reports_are_deterministic_modulo_wall_clock() {
         let spec = builtin_spec("910.bursty").unwrap();
-        let a = run_scenario(&spec, Scale::Test, RunOverrides::default()).unwrap();
-        let b = run_scenario(&spec, Scale::Test, RunOverrides::default()).unwrap();
+        let a = run_scenario(&spec, &RunOptions::new()).unwrap();
+        let b = run_scenario(&spec, &RunOptions::new()).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
@@ -552,7 +532,7 @@ mod tests {
         let mut spec = builtin_spec("920.blend").unwrap();
         spec.run.cores = 4;
         spec.run.sweep_cores = vec![2, 8];
-        let report = run_scenario(&spec, Scale::Test, RunOverrides::default()).unwrap();
+        let report = run_scenario(&spec, &RunOptions::new()).unwrap();
         assert_eq!(report.sweep.len(), 2);
         assert_eq!(report.sweep[0].config, "helix-rc-2");
         assert!(report.to_json().contains("\"sweep\""));

@@ -28,12 +28,18 @@ use crate::api::{self, Request, Response, ServiceStatus};
 use crate::error::{ErrorKind, HelixError};
 use crate::resilient::{fnv1a, panic_message, Journal, FNV_OFFSET};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+
+/// Longest request line the service reads, newline excluded. A client
+/// that sends more without a newline gets one `E_PROTOCOL` response and
+/// the connection is closed, so it cannot grow the buffer without
+/// bound. All 23 committed scenarios inline come to about 25 KB.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
 
 /// Configuration of a `helix serve` instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,10 +179,21 @@ fn handle_connection(stream: UnixStream, shared: &Shared) {
     loop {
         buf.clear();
         // Read one line; timeouts mid-line keep the partial bytes in
-        // `buf` (read_until appends) and retry until shutdown.
+        // `buf` (read_until appends) and retry until shutdown. The
+        // `take` stops a line one byte past the cap.
         let complete_line = loop {
-            match reader.read_until(b'\n', &mut buf) {
+            let room = (MAX_REQUEST_LINE + 1 - buf.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut buf) {
                 Ok(_) if buf.last() == Some(&b'\n') => break true,
+                Ok(_) if buf.len() > MAX_REQUEST_LINE => {
+                    shared.counters.lock().unwrap().requests += 1;
+                    let e = HelixError::protocol(format!(
+                        "request line exceeds {MAX_REQUEST_LINE} bytes"
+                    ));
+                    let wire = api::encode_response(&Response::Error(e));
+                    let _ = writer.write_all(format!("{wire}\n").as_bytes());
+                    return;
+                }
                 Ok(0) => break false, // EOF (possibly with a final unterminated line)
                 Ok(_) => break false, // EOF mid-line
                 Err(e)

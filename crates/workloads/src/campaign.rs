@@ -25,7 +25,7 @@
 //! so a committed campaign works from any working directory.
 
 use crate::common::Scale;
-use crate::spec::SpecError;
+use crate::spec::{SpecError, MAX_CORES};
 use crate::toml::{self, Table, Value};
 use std::path::{Path, PathBuf};
 
@@ -261,9 +261,9 @@ impl CampaignSpec {
             )));
         }
         for &cores in self.grid.cores.iter().chain(&self.grid.sweep_cores) {
-            if !(1..=4096).contains(&cores) {
+            if !(1..=MAX_CORES as i64).contains(&cores) {
                 return Err(SpecError::new(format!(
-                    "{}: grid cores must be in 1..=4096, got {cores}",
+                    "{}: grid cores must be in 1..={MAX_CORES}, got {cores}",
                     self.name
                 )));
             }

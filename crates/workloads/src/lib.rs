@@ -51,7 +51,7 @@ pub use campaign::{
 pub use common::Scale;
 pub use gen::{generate, generate_nest, generate_prefix, generate_with_nests, NestBoundary};
 pub use genspec::{generated_spec, SpecGen};
-pub use spec::{NestSpec, ScenarioSpec, SpecError};
+pub use spec::{NestSpec, ScenarioSpec, SpecError, MAX_CORES};
 
 use helix_ir::Program;
 use serde::{Deserialize, Serialize};

@@ -51,6 +51,11 @@ type Result<T> = std::result::Result<T, SpecError>;
 /// `sample`'s integer arithmetic far from overflow.
 const MAX_SPEC_PARAM: i64 = 1 << 20;
 
+/// Upper bound on every core count a spec, a campaign grid or a run
+/// override may ask for: per-core machine tables are sized by it, so a
+/// typo must not reach the allocator.
+pub const MAX_CORES: usize = 4096;
+
 /// Check a count-like parameter against [`MAX_SPEC_PARAM`].
 fn check_param(v: i64, what: &str) -> Result<()> {
     if (1..=MAX_SPEC_PARAM).contains(&v) {
@@ -1005,16 +1010,17 @@ impl ScenarioSpec {
                 self.validate_phase(phase)?;
             }
         }
-        if !(1..=4096).contains(&self.run.cores) || self.run.fuel == 0 {
+        let core_range = 1..=MAX_CORES as i64;
+        if !core_range.contains(&self.run.cores) || self.run.fuel == 0 {
             return Err(SpecError::new(format!(
-                "{}: run config needs cores in 1..=4096 and fuel > 0",
+                "{}: run config needs cores in 1..={MAX_CORES} and fuel > 0",
                 self.name
             )));
         }
         for &cores in &self.run.sweep_cores {
-            if !(1..=4096).contains(&cores) {
+            if !core_range.contains(&cores) {
                 return Err(SpecError::new(format!(
-                    "{}: sweep_cores entries must be in 1..=4096, got {cores}",
+                    "{}: sweep_cores entries must be in 1..={MAX_CORES}, got {cores}",
                     self.name
                 )));
             }

@@ -7,12 +7,13 @@
 //! Run with `cargo run --release --example declarative_scenario`.
 
 use helix_rc::ir::Distribution;
-use helix_rc::scenario::{run_scenario, RunOverrides};
+use helix_rc::scenario::run_scenario;
 use helix_rc::workloads::spec::{
     CarryOp, CarryOperand, CarrySpec, CountExpr, ElemTy, HotLoopSpec, OpSpec, PhaseSpec,
     RegionSpec, RunSpec, ScenarioSpec, UpdateOp, UpdateValue,
 };
-use helix_rc::workloads::{Kind, Scale};
+use helix_rc::workloads::Kind;
+use helix_rc::RunOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // A market-matching workload: orders arrive with geometrically
@@ -94,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // under scenarios/ to make this workload part of the suite.
     println!("--- demo.orderbook.toml ---\n{}", spec.to_toml());
 
-    let report = run_scenario(&spec, Scale::Test, RunOverrides::default())?;
+    let report = run_scenario(&spec, &RunOptions::new())?;
     println!(
         "{} on {} cores: coverage {:.1}%, {} parallel loop(s)",
         report.scenario,

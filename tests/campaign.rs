@@ -7,12 +7,13 @@
 mod common;
 
 use common::{committed_scenario_files, repo_path};
-use helix_rc::campaign::{load_campaign, run_campaign, run_campaign_with, CampaignRunOptions};
+use helix_rc::campaign::{load_campaign, run_campaign};
 use helix_rc::experiment::{decoupling_lattice, ExperimentOptions};
 use helix_rc::resilient::FaultPlan;
 use helix_rc::workloads::{
     builtin_spec, workload_from_spec, CampaignExperiment, CampaignGrid, CampaignSpec, Scale,
 };
+use helix_rc::RunOptions;
 
 /// The committed smoke campaign loads, covers the distribution-
 /// stressing novel scenarios, runs end-to-end, and produces
@@ -37,8 +38,10 @@ fn committed_smoke_campaign_runs_deterministically() {
         assert!(names.contains(&required), "smoke set missing {required}");
     }
 
-    let a = run_campaign(&spec, &scenarios).expect("smoke campaign runs");
-    let b = run_campaign(&spec, &scenarios).expect("smoke campaign runs twice");
+    let (options, sim) = (RunOptions::new(), ExperimentOptions::default());
+    let (a, _) = run_campaign(&spec, &scenarios, &options, &sim).expect("smoke campaign runs");
+    let (b, _) =
+        run_campaign(&spec, &scenarios, &options, &sim).expect("smoke campaign runs twice");
     assert_eq!(a, b, "campaign reports must be deterministic");
     assert_eq!(a.to_json(), b.to_json(), "reports must be byte-identical");
 
@@ -62,7 +65,8 @@ fn committed_smoke_campaign_runs_deterministically() {
 fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
     let (spec, scenarios) =
         load_campaign(&repo_path("campaigns/smoke.toml")).expect("smoke campaign loads");
-    let clean = run_campaign(&spec, &scenarios).expect("clean run");
+    let sim = ExperimentOptions::default();
+    let (clean, _) = run_campaign(&spec, &scenarios, &RunOptions::new(), &sim).expect("clean run");
     assert!(clean.failures.is_empty());
 
     let journal = std::env::temp_dir().join(format!(
@@ -71,7 +75,7 @@ fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
         spec.name
     ));
     let _ = std::fs::remove_dir_all(&journal);
-    let chaos_opts = CampaignRunOptions {
+    let chaos_opts = RunOptions {
         journal: Some(journal.clone()),
         resume: false,
         faults: Some(FaultPlan {
@@ -82,18 +86,20 @@ fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
             stall_ms: 0,
             transient: false,
         }),
-        ..CampaignRunOptions::default()
+        ..RunOptions::default()
     };
-    let chaos = run_campaign_with(&spec, &scenarios, &chaos_opts).expect("chaos run completes");
+    let (chaos, _) =
+        run_campaign(&spec, &scenarios, &chaos_opts, &sim).expect("chaos run completes");
     assert_eq!(chaos.failures.len(), 2, "exactly the injected panics");
     assert!(chaos.rows.len() < clean.rows.len());
 
-    let resume_opts = CampaignRunOptions {
+    let resume_opts = RunOptions {
         journal: Some(journal.clone()),
         resume: true,
-        ..CampaignRunOptions::default()
+        ..RunOptions::default()
     };
-    let resumed = run_campaign_with(&spec, &scenarios, &resume_opts).expect("resume completes");
+    let (resumed, _) =
+        run_campaign(&spec, &scenarios, &resume_opts, &sim).expect("resume completes");
     assert!(resumed.failures.is_empty());
     assert_eq!(
         resumed.to_json(),
@@ -144,7 +150,13 @@ fn lattice_cell_matches_direct_experiment_call() {
         },
         resilience: Default::default(),
     };
-    let report = run_campaign(&spec, std::slice::from_ref(&scenario)).unwrap();
+    let (report, _) = run_campaign(
+        &spec,
+        std::slice::from_ref(&scenario),
+        &RunOptions::new(),
+        &ExperimentOptions::default(),
+    )
+    .unwrap();
     assert_eq!(report.rows.len(), 1);
     let row = &report.rows[0];
 

@@ -3,28 +3,30 @@
 //! engine selection, or shared-cache configuration must be
 //! byte-identical to the single-lane per-cell baseline. These tests
 //! enforce that across every committed scenario (the paper campaign),
-//! across the engine axis (tree / decoded / batched), and under the
-//! chaos harness (fault-injected cells stay isolated from their
-//! batched neighbours).
+//! across the engine axis (tree and decoded, standalone and batched),
+//! and under the chaos harness (fault-injected cells stay isolated
+//! from their batched neighbours).
 
 mod common;
 
 use common::repo_path;
 use helix_rc::api::{decode_request, execute, Request, Response, RunOptions, SpecSource};
-use helix_rc::campaign::{load_campaign, run_campaign_with, CampaignRunOptions};
+use helix_rc::campaign::{load_campaign, run_campaign, CampaignReport};
+use helix_rc::experiment::ExperimentOptions;
 use helix_rc::hcc::{compile, CompiledProgram, HccConfig};
 use helix_rc::resilient::FaultPlan;
 use helix_rc::sim::{EngineSel, Machine, MachineConfig, SimSession};
-use helix_rc::workloads::{by_name, Scale};
+use helix_rc::workloads::{by_name, CampaignSpec, Scale, ScenarioSpec};
 use helix_rc::CampaignSource;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn lanes(n: usize) -> CampaignRunOptions {
-    CampaignRunOptions {
-        lanes: n,
-        ..CampaignRunOptions::default()
-    }
+/// One campaign run on the default engine.
+fn run(spec: &CampaignSpec, scenarios: &[ScenarioSpec], options: &RunOptions) -> CampaignReport {
+    let sim = ExperimentOptions::default();
+    run_campaign(spec, scenarios, options, &sim)
+        .expect("campaign runs")
+        .0
 }
 
 /// The committed paper campaign — every committed scenario through
@@ -34,13 +36,12 @@ fn lanes(n: usize) -> CampaignRunOptions {
 fn batched_paper_campaign_is_byte_identical_to_per_cell() {
     let (spec, scenarios) =
         load_campaign(&repo_path("campaigns/paper.toml")).expect("paper campaign loads");
-    let baseline =
-        run_campaign_with(&spec, &scenarios, &CampaignRunOptions::default()).expect("per-cell run");
+    let baseline = run(&spec, &scenarios, &RunOptions::new());
     assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
     // lanes=4 leaves each scenario's cells spanning several session
     // chunks, so chunk boundaries are exercised too (wider widths only
     // repeat the same ~40s campaign without new coverage).
-    let batched = run_campaign_with(&spec, &scenarios, &lanes(4)).expect("batched run");
+    let batched = run(&spec, &scenarios, &RunOptions::new().with_lanes(4));
     assert_eq!(
         batched.to_json(),
         baseline.to_json(),
@@ -48,35 +49,30 @@ fn batched_paper_campaign_is_byte_identical_to_per_cell() {
     );
 }
 
-/// The engine axis is invisible in reports: tree interpreter, decoded,
-/// and batched (single- and multi-lane) smoke-campaign runs all emit
-/// the same bytes.
+/// The engine and lane axes are invisible in reports: tree interpreter
+/// and decoded engine, each standalone and batched four lanes wide,
+/// emit the same smoke-campaign bytes.
 #[test]
 fn engine_selection_never_changes_report_bytes() {
     let (spec, scenarios) =
         load_campaign(&repo_path("campaigns/smoke.toml")).expect("smoke campaign loads");
-    let baseline =
-        run_campaign_with(&spec, &scenarios, &CampaignRunOptions::default()).expect("baseline");
+    let baseline = run(&spec, &scenarios, &RunOptions::new());
     assert!(baseline.failures.is_empty());
     for (engine, width) in [
         (EngineSel::Tree, 1),
         (EngineSel::Decoded, 1),
-        (EngineSel::Batched, 1),
         (EngineSel::Tree, 4),
-        (EngineSel::Batched, 4),
+        (EngineSel::Decoded, 4),
     ] {
-        let run = run_campaign_with(
+        let (report, _) = run_campaign(
             &spec,
             &scenarios,
-            &CampaignRunOptions {
-                engine: Some(engine),
-                lanes: width,
-                ..CampaignRunOptions::default()
-            },
+            &RunOptions::new().with_lanes(width),
+            &ExperimentOptions::default().with_engine(engine),
         )
         .expect("engine run");
         assert_eq!(
-            run.to_json(),
+            report.to_json(),
             baseline.to_json(),
             "engine={engine:?} lanes={width} report differs"
         );
@@ -100,26 +96,17 @@ fn chaos_failure_isolation_is_lane_invariant() {
         stall_ms: 0,
         transient: false,
     };
-    let single = run_campaign_with(
+    let single = run(
         &spec,
         &scenarios,
-        &CampaignRunOptions {
-            faults: Some(plan.clone()),
-            ..CampaignRunOptions::default()
-        },
-    )
-    .expect("single-lane chaos run");
+        &RunOptions::new().with_faults(plan.clone()),
+    );
     assert_eq!(single.failures.len(), 2, "exactly the injected panics");
-    let batched = run_campaign_with(
+    let batched = run(
         &spec,
         &scenarios,
-        &CampaignRunOptions {
-            faults: Some(plan),
-            lanes: 4,
-            ..CampaignRunOptions::default()
-        },
-    )
-    .expect("batched chaos run");
+        &RunOptions::new().with_faults(plan).with_lanes(4),
+    );
     assert_eq!(
         batched.to_json(),
         single.to_json(),

@@ -7,10 +7,11 @@
 
 use helix_rc::campaign::run_campaign;
 use helix_rc::hcc::{compile, HccConfig};
-use helix_rc::scenario::{run_scenario, RunOverrides};
+use helix_rc::scenario::run_scenario;
 use helix_rc::workloads::{
     workload_from_spec, CampaignExperiment, CampaignGrid, CampaignSpec, Scale, ScenarioSpec,
 };
+use helix_rc::{ExperimentOptions, RunOptions};
 use std::path::PathBuf;
 
 const MULTI_NEST: [&str; 5] = [
@@ -88,16 +89,7 @@ fn nest_boundaries_partition_the_parallelized_loops() {
 #[test]
 fn scenario_reports_carry_consistent_nest_rows() {
     let spec = committed("962.cov_lo");
-    let report = run_scenario(
-        &spec,
-        Scale::Test,
-        RunOverrides {
-            cores: Some(8),
-            fuel: None,
-            ..RunOverrides::default()
-        },
-    )
-    .expect("962.cov_lo runs");
+    let report = run_scenario(&spec, &RunOptions::new().with_cores(8)).expect("962.cov_lo runs");
     assert_eq!(report.nests.len(), 2);
     let total: f64 = report
         .nests
@@ -125,16 +117,8 @@ fn scenario_reports_carry_consistent_nest_rows() {
     assert!(json.contains("\"glue_weight\""));
 
     // Determinism: nest rows are cycle-derived, so fingerprints match.
-    let again = run_scenario(
-        &spec,
-        Scale::Test,
-        RunOverrides {
-            cores: Some(8),
-            fuel: None,
-            ..RunOverrides::default()
-        },
-    )
-    .expect("962.cov_lo runs twice");
+    let again =
+        run_scenario(&spec, &RunOptions::new().with_cores(8)).expect("962.cov_lo runs twice");
     assert_eq!(report.fingerprint(), again.fingerprint());
     assert_eq!(report.nests, again.nests);
 }
@@ -159,8 +143,17 @@ fn campaigns_emit_derived_speedup_vs_coverage_rows() {
         resilience: Default::default(),
     };
     let scenarios = vec![committed("175.vpr"), committed("950.twonest")];
-    let a = run_campaign(&spec, &scenarios).expect("campaign runs");
-    let b = run_campaign(&spec, &scenarios).expect("campaign runs twice");
+    let run = |spec: &CampaignSpec| {
+        run_campaign(
+            spec,
+            &scenarios,
+            &RunOptions::new(),
+            &ExperimentOptions::default(),
+        )
+        .map(|(report, _)| report)
+    };
+    let a = run(&spec).expect("campaign runs");
+    let b = run(&spec).expect("campaign runs twice");
     assert_eq!(a, b, "derived rows must be deterministic");
     assert_eq!(a.to_json(), b.to_json());
 
@@ -198,7 +191,7 @@ fn campaigns_emit_derived_speedup_vs_coverage_rows() {
     // Without generations there is nothing to anchor on: no derived.
     let mut no_gen = spec;
     no_gen.grid.experiments = vec![CampaignExperiment::CoupledVsRing];
-    let report = run_campaign(&no_gen, &scenarios).expect("campaign runs");
+    let report = run(&no_gen).expect("campaign runs");
     assert!(report.derived.is_empty());
     assert!(!report.to_json().contains("\"derived\""));
 }

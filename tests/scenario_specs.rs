@@ -5,8 +5,9 @@
 mod common;
 
 use common::committed_specs;
-use helix_rc::scenario::{run_scenario, RunOverrides};
+use helix_rc::scenario::run_scenario;
 use helix_rc::workloads::{by_name, Scale, BUILTIN_SCENARIOS};
+use helix_rc::RunOptions;
 use std::collections::BTreeSet;
 
 /// Every committed file parses, the embedded built-in table lists
@@ -60,16 +61,8 @@ fn committed_scenarios_match_builtins_and_cover_the_suite() {
 #[test]
 fn every_committed_scenario_runs_end_to_end() {
     for (path, spec) in committed_specs() {
-        let report = run_scenario(
-            &spec,
-            Scale::Test,
-            RunOverrides {
-                cores: Some(8),
-                fuel: None,
-                ..RunOverrides::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let report = run_scenario(&spec, &RunOptions::new().with_cores(8))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(report.runs.len(), spec.run.machines.len(), "{}", spec.name);
         assert!(report.plans >= 1, "{}: nothing parallelized", spec.name);
         let helix = report
@@ -97,13 +90,9 @@ fn scenario_reports_are_deterministic() {
             .into_iter()
             .find(|(_, s)| s.name == name)
             .unwrap_or_else(|| panic!("{name} not committed"));
-        let overrides = RunOverrides {
-            cores: Some(4),
-            fuel: None,
-            ..RunOverrides::default()
-        };
-        let a = run_scenario(&spec, Scale::Test, overrides).expect(name);
-        let b = run_scenario(&spec, Scale::Test, overrides).expect(name);
+        let options = RunOptions::new().with_cores(4);
+        let a = run_scenario(&spec, &options).expect(name);
+        let b = run_scenario(&spec, &options).expect(name);
         assert_eq!(a.fingerprint(), b.fingerprint(), "{name}");
     }
 }

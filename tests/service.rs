@@ -3,17 +3,18 @@
 //! with a byte-identical report, concurrent identical submissions must
 //! execute once, malformed requests must get typed error responses
 //! without taking the server down, reports must carry the schema
-//! version stamp that `helix diff` names on mismatch, and the legacy
-//! entry points must agree with the `api::execute` path they wrap.
+//! version stamp that `helix diff` names on mismatch, and the runner
+//! entry points must agree with the `api::execute` path over them.
 
 use helix_rc::api::{
     self, diff_reports, CampaignSource, Request, Response, RunOptions, SpecSource,
 };
 use helix_rc::campaign::run_campaign;
+use helix_rc::experiment::ExperimentOptions;
 use helix_rc::report::SCHEMA_VERSION;
-use helix_rc::scenario::{run_scenario, RunOverrides};
-use helix_rc::service::{serve, submit, ServeOptions};
-use helix_rc::workloads::{builtin_spec, campaign_from_inline, Scale};
+use helix_rc::scenario::run_scenario;
+use helix_rc::service::{serve, submit, ServeOptions, MAX_REQUEST_LINE};
+use helix_rc::workloads::{builtin_spec, campaign_from_inline};
 use helix_rc::{ErrorKind, HelixError};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -226,6 +227,42 @@ fn malformed_requests_get_typed_errors_and_server_stays_up() {
     shutdown_service(&socket, handle);
 }
 
+/// A request line one byte over the cap, with no newline in sight, gets
+/// one typed protocol error and its connection closed; the server keeps
+/// answering new connections.
+#[test]
+fn overlong_request_line_is_rejected_and_server_stays_up() {
+    let (socket, handle) = start_service("overlong", 1);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response line");
+    match api::decode_response(line.trim_end()).expect("decodable response") {
+        Response::Error(e) => {
+            assert_eq!(e.kind.code(), "E_PROTOCOL");
+            assert!(e.message.contains("exceeds"), "{}", e.message);
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("read after error"),
+        0,
+        "the connection must be closed: {line}"
+    );
+
+    match submit(&socket, &Request::Status).expect("status") {
+        Response::Status(status) => assert!(status.requests >= 1),
+        other => panic!("expected Status, got {other:?}"),
+    }
+
+    shutdown_service(&socket, handle);
+}
+
 /// Reports are stamped with the schema version, the constant is pinned
 /// (bump it deliberately, with a migration note in docs/SERVICE.md),
 /// and `diff` names a version mismatch instead of dumping a byte diff.
@@ -238,14 +275,19 @@ fn schema_version_is_stamped_and_diff_names_mismatch() {
 
     let (campaign, scenarios) = inline_campaign();
     let (spec, specs) = campaign_from_inline(&campaign, &scenarios).expect("inline campaign");
-    let report = run_campaign(&spec, &specs).expect("campaign runs");
+    let (report, _) = run_campaign(
+        &spec,
+        &specs,
+        &RunOptions::new(),
+        &ExperimentOptions::default(),
+    )
+    .expect("campaign runs");
     let json = report.to_json();
     let stamp = format!("\"schema_version\": {SCHEMA_VERSION},");
     assert!(json.contains(&stamp), "campaign report missing {stamp}");
 
     let scenario = builtin_spec("900.chase").unwrap();
-    let scenario_report =
-        run_scenario(&scenario, Scale::Test, RunOverrides::default()).expect("scenario runs");
+    let scenario_report = run_scenario(&scenario, &RunOptions::new()).expect("scenario runs");
     assert!(
         scenario_report.to_json().contains(&stamp),
         "scenario report missing {stamp}"
@@ -272,15 +314,21 @@ fn schema_version_is_stamped_and_diff_names_mismatch() {
     );
 }
 
-/// The legacy conveniences (`run_campaign`, `run_scenario`) and the
-/// unified `api::execute` path they now wrap must produce the same
+/// The runner entry points (`run_campaign`, `run_scenario`) and the
+/// unified `api::execute` path over them must produce the same
 /// reports, and `execute` must surface failures as typed responses with
 /// the documented exit codes.
 #[test]
 fn legacy_wrappers_agree_with_execute_and_errors_are_typed() {
     let (campaign, scenarios) = inline_campaign();
     let (spec, specs) = campaign_from_inline(&campaign, &scenarios).expect("inline campaign");
-    let legacy = run_campaign(&spec, &specs).expect("legacy entry point runs");
+    let (legacy, _) = run_campaign(
+        &spec,
+        &specs,
+        &RunOptions::new(),
+        &ExperimentOptions::default(),
+    )
+    .expect("runner entry point runs");
 
     let response = api::execute(campaign_request(RunOptions::new()));
     let Response::Campaign {
@@ -292,13 +340,13 @@ fn legacy_wrappers_agree_with_execute_and_errors_are_typed() {
     else {
         panic!("expected Campaign response");
     };
-    assert_eq!(json, legacy.to_json(), "wrapper and execute must agree");
+    assert_eq!(json, legacy.to_json(), "runner and execute must agree");
     assert_eq!(report.as_deref(), Some(&legacy));
     assert_eq!(stats.cells, stats.simulated + stats.journal_hits);
 
     let scenario = builtin_spec("900.chase").unwrap();
-    let legacy_fp = run_scenario(&scenario, Scale::Test, RunOverrides::default())
-        .expect("legacy scenario run")
+    let legacy_fp = run_scenario(&scenario, &RunOptions::new())
+        .expect("runner scenario run")
         .fingerprint();
     let Response::Scenario {
         report: Some(report),
