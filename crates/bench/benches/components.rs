@@ -112,9 +112,8 @@ fn helix_rc_cycles_per_sec(c: &mut Criterion) {
 }
 
 /// Lane-batched session drain on the campaign's dominant shape: a mixed
-/// batch of helix-rc and conventional 16-core lanes over one shared
-/// decode, scheduled off the session's next-event heap with retired
-/// machines recycled through the pool. The session (and its warm pool)
+/// batch of helix-rc and conventional 16-core lanes run one after
+/// another over one shared decode. The session (and its decode)
 /// persists across iterations, so this tracks exactly what a campaign
 /// scenario's steady-state batch costs.
 fn session_drain(c: &mut Criterion) {

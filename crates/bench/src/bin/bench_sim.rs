@@ -200,7 +200,8 @@ fn lattice_sweep_optimized(ws: &[Workload]) {
 /// * **percell_decoded** — per-cell runs on the decoded engine, i.e.
 ///   the shipped pre-lane behaviour (`--lanes 1`);
 /// * **after** — batched lanes (`--lanes 8`): per-scenario shared
-///   compile/decode/report cache plus lockstep lane stepping.
+///   compile/decode/report cache, each cell's simulations run as the
+///   lanes of one session.
 ///
 /// All three reports are asserted byte-identical before any number is
 /// reported — the lane-exactness property, enforced at measurement
@@ -238,9 +239,9 @@ fn campaign_full_times() -> (f64, f64, f64) {
 
 /// The `sim/session_drain` criterion scenario, measured into the
 /// snapshot: a mixed four-lane batch of 175.vpr (2× helix-rc-16 +
-/// 2× conventional-16) drained through one warm [`SimSession`] —
-/// shared decode, next-event-heap scheduling, machine-pool recycling —
-/// vs the same four simulations run standalone. Returns
+/// 2× conventional-16) drained through one warm [`SimSession`] — one
+/// shared decode, lanes run one after another — vs the same four
+/// simulations run standalone, each decoding for itself. Returns
 /// `(standalone_secs, session_secs)`.
 fn session_drain_times(ws: &[Workload]) -> Option<(f64, f64)> {
     let w = ws.iter().find(|w| w.name == "175.vpr")?;
@@ -252,8 +253,8 @@ fn session_drain_times(ws: &[Workload]) -> Option<(f64, f64)> {
         }
     });
     let mut session = SimSession::new(&compiled.program, &compiled.plans);
-    // One untimed drain warms the shared decode and the machine pool,
-    // matching the steady state a campaign batch runs in.
+    // One untimed drain warms the shared decode, matching the steady
+    // state a campaign batch runs in.
     session.enqueue(MachineConfig::helix_rc(16), FUEL);
     session.enqueue(MachineConfig::conventional(16), FUEL);
     for lane in session.drain() {

@@ -45,7 +45,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     for f in figures {
-        if let Err(e) = helix_bench::run_one(f, scale) {
+        if let Err(e) = helix_bench::run_figure(f, scale) {
             // Campaign-backed figures fail here (with the offending
             // file named) when a referenced scenario spec is missing or
             // malformed — never mid-run with a panic.

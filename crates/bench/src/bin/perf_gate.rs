@@ -21,7 +21,7 @@
 //! accidental return to the naive cycle loop. When the baseline carries
 //! a `campaign_full` row (full-profile campaign wall-clock, naive
 //! per-cell tree vs lane-batched), the fresh run must carry one too and
-//! its measured speedup must stay above an absolute 3x floor.
+//! its measured speedup must stay above an absolute 2.5x floor.
 //!
 //! **Scenario mode** (`--scenarios`) compares campaign reports — the
 //! per-scenario HELIX-RC *speedups* from `generations` rows — against

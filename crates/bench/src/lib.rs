@@ -573,7 +573,7 @@ pub fn run_all(scale: Scale) -> R {
 }
 
 /// Dispatch one figure by name.
-pub fn run_one(name: &str, scale: Scale) -> R {
+pub fn run_figure(name: &str, scale: Scale) -> R {
     match name {
         "fig01" => fig01(scale),
         "fig02" => fig02(scale),
@@ -599,7 +599,7 @@ pub fn run_one(name: &str, scale: Scale) -> R {
     }
 }
 
-/// Names accepted by [`run_one`].
+/// Names accepted by [`run_figure`].
 pub const FIGURES: [&str; 16] = [
     "fig01", "fig02", "fig03", "fig04", "fig05", "table1", "fig07", "fig08", "fig09", "fig10",
     "fig11", "fig12", "table2", "tlp", "ideal", "all",
@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown() {
-        assert!(run_one("nope", Scale::Test).is_err());
+        assert!(run_figure("nope", Scale::Test).is_err());
     }
 
     #[test]

@@ -115,9 +115,10 @@ OPTIONS:
                        default <campaign>.journal when --resume is given
                        without --journal, <socket>.journal under serve)
     --resume           Answer journaled entries instead of re-running them
-    --lanes N          Batch up to N simulations of a scenario in lockstep
-                       per session, sharing one compile/decode (campaign/
-                       submit; reports are byte-identical to --lanes 1)
+    --lanes N          With N > 1, share one compile/decode/report cache per
+                       scenario and run its simulations as lanes of one
+                       session (campaign/submit; reports are byte-identical
+                       to --lanes 1)
     --attribution      Attach the per-stall-cause cycle breakdown (the
                        Fig. 12 buckets) to every run row in the report
                        (run/smoke/submit-scenario)

@@ -66,10 +66,11 @@ pub struct RunOptions {
     /// Seeded chaos faults. Local execution only.
     pub faults: Option<FaultPlan>,
     /// Lane width for batched campaign simulation. `None` (or `<= 1`)
-    /// runs every grid cell standalone; `> 1` batches each scenario's
-    /// cells over a shared decode, stepping up to this many simulations
-    /// in lockstep. Purely an execution knob: reports are byte-identical
-    /// either way. Carried over the wire as the v1 `lanes` field.
+    /// runs every grid cell standalone; `> 1` shares one
+    /// compile/decode/report cache per scenario and runs each cell's
+    /// simulations as the lanes of one session over a shared decode.
+    /// Purely an execution knob: reports are byte-identical either way.
+    /// Carried over the wire as the v1 `lanes` field.
     pub lanes: Option<usize>,
     /// Attach the per-stall-cause cycle breakdown (Fig. 12 buckets) to
     /// every scenario run row. Diagnostic output only — deterministic,
@@ -138,7 +139,8 @@ impl RunOptions {
         self
     }
 
-    /// Batch campaign cells `lanes` simulations at a time.
+    /// Set the lane width (`> 1` batches campaign simulations through a
+    /// per-scenario cache and session lanes).
     pub fn with_lanes(mut self, lanes: usize) -> RunOptions {
         self.lanes = Some(lanes);
         self
@@ -482,6 +484,7 @@ fn run_scenario_request(source: &SpecSource, options: &RunOptions) -> Result<Res
         h = fnv1a(h, format!("{scale:?}").as_bytes());
         h = fnv1a(h, &(cores as u64).to_le_bytes());
         h = fnv1a(h, &fuel.to_le_bytes());
+        h = fnv1a(h, &[u8::from(options.attribution)]);
         h = fnv1a(h, b"scenario-report");
         fnv1a(h, spec.to_toml().as_bytes())
     };

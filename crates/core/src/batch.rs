@@ -19,7 +19,7 @@ use crate::experiment::ExpError;
 use helix_hcc::{compile, CompiledProgram, HccConfig};
 use helix_ir::decode::DecodedProgram;
 use helix_ir::Program;
-use helix_sim::{MachinePool, RunReport};
+use helix_sim::RunReport;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -37,9 +37,6 @@ pub struct SimCache {
     compiled: Mutex<HashMap<String, Arc<CompiledProgram>>>,
     decoded: Mutex<HashMap<String, Arc<DecodedProgram>>>,
     reports: Mutex<HashMap<String, RunReport>>,
-    /// Retired machines' allocations, recycled across the scenario's
-    /// batches (see [`MachinePool`]).
-    pool: Mutex<MachinePool>,
 }
 
 /// Poison-tolerant lock: a panicking cell (chaos injection, bugs) must
@@ -100,20 +97,6 @@ impl SimCache {
         lock(&self.reports)
             .entry(key)
             .or_insert_with(|| report.clone());
-    }
-
-    /// Take the scenario's machine pool for a batch; the caller hands
-    /// it back (with its newly retired spares) via
-    /// [`SimCache::return_pool`]. Concurrent batches race to take and
-    /// the loser sees an empty pool — benign: it just builds machines
-    /// from scratch, exactly as if the pool were cold.
-    pub fn take_pool(&self) -> MachinePool {
-        std::mem::take(&mut *lock(&self.pool))
-    }
-
-    /// Merge a batch's pool back for the next batch to reuse.
-    pub fn return_pool(&self, pool: MachinePool) {
-        lock(&self.pool).merge(pool);
     }
 }
 

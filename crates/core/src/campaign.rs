@@ -355,25 +355,39 @@ impl CampaignReport {
                     .all(|l| !l.contains('%') && !l.contains("frac"));
             if all_speedups {
                 for (kind, tag) in [("int", "INT geomean"), ("fp", "FP geomean")] {
-                    let of_kind: Vec<&&CampaignRow> =
-                        rows.iter().filter(|r| r.kind == kind).collect();
-                    if of_kind.is_empty() {
-                        continue;
+                    let of_kind: Vec<&CampaignRow> =
+                        rows.iter().copied().filter(|r| r.kind == kind).collect();
+                    // Next to a paper column the geomean row is like for
+                    // like: only rows with a published number. The
+                    // all-rows figure, when it differs, gets its own row.
+                    let comparable: Vec<&CampaignRow> = of_kind
+                        .iter()
+                        .copied()
+                        .filter(|r| !with_paper || r.paper_speedup.is_some())
+                        .collect();
+                    let all_rows = (comparable.len() < of_kind.len())
+                        .then(|| (format!("{tag} (all)"), of_kind));
+                    let geomean_rows =
+                        std::iter::once((tag.to_string(), comparable)).chain(all_rows);
+                    for (label, set) in geomean_rows {
+                        if set.is_empty() {
+                            continue;
+                        }
+                        let mut cells = vec![label];
+                        for col in 0..labels.len() {
+                            cells.push(x(geomean(set.iter().map(|r| r.points[col].1))));
+                        }
+                        if with_paper {
+                            let published: Vec<f64> =
+                                set.iter().filter_map(|r| r.paper_speedup).collect();
+                            cells.push(if published.len() == set.len() {
+                                x(geomean(published))
+                            } else {
+                                "-".into()
+                            });
+                        }
+                        body.push(cells);
                     }
-                    let mut cells = vec![tag.to_string()];
-                    for col in 0..labels.len() {
-                        cells.push(x(geomean(of_kind.iter().map(|r| r.points[col].1))));
-                    }
-                    if with_paper {
-                        let published: Vec<f64> =
-                            of_kind.iter().filter_map(|r| r.paper_speedup).collect();
-                        cells.push(if published.is_empty() {
-                            "-".into()
-                        } else {
-                            x(geomean(published))
-                        });
-                    }
-                    body.push(cells);
                 }
             }
             out.push_str(&table(&headers, &body));
@@ -757,10 +771,10 @@ impl CampaignRunStats {
 ///
 /// With `lanes > 1` every scenario shares one [`SimCache`] across its
 /// cells — compiles, decodes, and duplicated runs (sequential baselines
-/// above all) happen once — and up to `lanes` simulations of a scenario
-/// step in lockstep per [`helix_sim::SimSession`] batch. Fault-injected
-/// cells always run single-lane without the shared cache, preserving
-/// per-cell failure isolation.
+/// above all) happen once — and each cell's uncached simulations run as
+/// the lanes of one [`helix_sim::SimSession`] over a shared decode.
+/// Fault-injected cells always run single-lane without the shared
+/// cache, preserving per-cell failure isolation.
 ///
 /// Every cell runs behind the resilient layer
 /// ([`run_cell_resilient`]): panics are caught at the cell boundary,
@@ -909,11 +923,11 @@ pub fn run_campaign(
         .map(|p| (p.stall_ms, p.transient))
         .unwrap_or((0, false));
 
-    // Lane-parallel batching: with `lanes > 1` every scenario gets one
-    // shared SimCache (compile/decode/report dedup across its cells)
-    // and cells step in lockstep sessions. Cached values are
-    // deterministic, so the report stays byte-identical to a
-    // single-lane run.
+    // Lane batching: with `lanes > 1` every scenario gets one shared
+    // SimCache (compile/decode/report dedup across its cells) and each
+    // cell runs its uncached simulations as session lanes. Cached
+    // values are deterministic, so the report stays byte-identical to
+    // a single-lane run.
     let lanes = options.lanes.unwrap_or(1).max(1);
     let mut base_opts = sim.clone().with_lanes(lanes);
     base_opts.cache = None;
@@ -1374,12 +1388,40 @@ mod tests {
 
     #[test]
     fn table_renders_geomeans_and_groups() {
+        use crate::report::x;
         let (spec, scenarios) = tiny_campaign(vec![CampaignExperiment::Generations]);
-        let report = run(&spec, &scenarios, &RunOptions::new()).unwrap();
+        let mut report = run(&spec, &scenarios, &RunOptions::new()).unwrap();
         let text = report.table();
         assert!(text.contains("== generations @ 8 cores =="), "{text}");
         assert!(text.contains("INT geomean"), "{text}");
         assert!(text.contains("175.vpr"), "{text}");
+        assert!(!text.contains("INT geomean (all)"), "{text}");
+
+        // A row without a published number stays out of the geomean
+        // row that sits next to the paper column, and shows up in the
+        // separate all-rows geomean instead.
+        let vpr = report.rows[0].clone();
+        let mut unpublished = vpr.clone();
+        unpublished.scenario = "999.unpublished".into();
+        unpublished.paper_speedup = None;
+        for (_, v) in &mut unpublished.points {
+            *v *= 4.0;
+        }
+        report.rows.push(unpublished);
+        let text = report.table();
+        let line = |tag: &str| {
+            text.lines()
+                .find(|l| l.split("  ").next() == Some(tag))
+                .unwrap_or_else(|| panic!("no '{tag}' row in:\n{text}"))
+                .to_string()
+        };
+        let published = line("INT geomean");
+        let all = line("INT geomean (all)");
+        let helix = vpr.points.last().unwrap().1;
+        assert!(published.contains(&x(helix)), "{published}");
+        assert!(published.contains(&x(6.1)), "{published}");
+        assert!(all.contains(&x(2.0 * helix)), "{all}");
+        assert!(!all.contains(&x(6.1)), "{all}");
     }
 
     #[test]
@@ -1495,12 +1537,16 @@ mod tests {
             ..RunOptions::default()
         };
         run(&spec, &scenarios, &options).unwrap();
-        // Tamper with the one journaled cell: seq_cycles -> 424242.
+        // Tamper with the one journaled cell: seq_cycles -> 424242,
+        // re-stored through the journal so its trailer matches.
+        let journal = Journal::open(&dir).unwrap();
         let mut tampered = 0;
         for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
             let path = entry.path();
             if path.extension().is_some_and(|x| x == "cell") {
-                let text = std::fs::read_to_string(&path).unwrap();
+                let stem = path.file_stem().unwrap().to_str().unwrap();
+                let digest = u64::from_str_radix(stem, 16).unwrap();
+                let text = journal.load(digest).unwrap();
                 let patched: String = text
                     .lines()
                     .map(|l| {
@@ -1514,7 +1560,7 @@ mod tests {
                     .collect::<Vec<_>>()
                     .join("\n")
                     + "\n";
-                std::fs::write(&path, patched).unwrap();
+                journal.store(digest, &patched).unwrap();
             }
         }
         assert_eq!(tampered, 1);

@@ -31,9 +31,11 @@ pub struct ExperimentOptions {
     pub fuel: u64,
     /// Execution engine every simulation in the experiment runs under.
     pub engine: EngineSel,
-    /// Lane width: `> 1` steps up to this many simulations of the same
-    /// program in lockstep per [`SimSession`] batch; `1` runs each
-    /// simulation standalone. Either way the reports are identical.
+    /// Lane width: `> 1` runs each batch's uncached simulations as the
+    /// lanes of one [`SimSession`] (one shared decode, lanes run one
+    /// after another), and makes campaigns share a per-scenario
+    /// [`SimCache`]; `1` runs each simulation standalone, in parallel.
+    /// Either way the reports are identical.
     pub lanes: usize,
     /// Per-scenario memo for compiles, decodes, and run reports.
     /// Campaigns share one cache across every cell of a scenario so
@@ -108,10 +110,10 @@ impl ExperimentOptions {
 
 /// Run `cfgs` over one (program, plans) pair under `opts`: engine
 /// selection applied uniformly, report memoization through the cache,
-/// and — with `opts.lanes > 1` — cache misses stepped in lockstep as
-/// lanes of one [`SimSession`] (in batches of `opts.lanes`) over a
-/// single shared decode. `decode_key` identifies the program in
-/// the cache ([`SEQ_KEY`] or a compile key).
+/// and — with `opts.lanes > 1` — cache misses run as the lanes of one
+/// [`SimSession`] over a single shared decode (otherwise standalone, in
+/// parallel). `decode_key` identifies the program in the cache
+/// ([`SEQ_KEY`] or a compile key).
 ///
 /// Every path produces bit-identical reports; they differ only in how
 /// much work is shared.
@@ -146,36 +148,17 @@ fn run_batch(
         _ => None,
     };
     if opts.lanes > 1 && misses.len() > 1 {
-        // Event-cooperative lanes over one shared decode, `opts.lanes`
-        // at a time, on a single session: machines retired by one chunk
-        // are recycled by the next, and the scenario cache carries the
-        // pool across batches (returned before any error propagates).
+        // Every miss as a lane of one session over one shared decode.
         let mut session = match &decoded {
             Some(d) => SimSession::with_decoded(program, plans, d.clone()),
             None => SimSession::new(program, plans),
         };
-        if let Some(cache) = &opts.cache {
-            session.set_pool(cache.take_pool());
+        for &ix in &misses {
+            session.enqueue(cfgs[ix].clone(), opts.fuel);
         }
-        let mut outcome: Result<(), ExpError> = Ok(());
-        'chunks: for chunk in misses.chunks(opts.lanes) {
-            for &ix in chunk {
-                session.enqueue(cfgs[ix].clone(), opts.fuel);
-            }
-            for (lane, &ix) in session.drain().into_iter().zip(chunk) {
-                match lane.result {
-                    Ok(report) => results[ix] = Some(report),
-                    Err(e) => {
-                        outcome = Err(e.into());
-                        break 'chunks;
-                    }
-                }
-            }
+        for (lane, &ix) in session.drain().into_iter().zip(&misses) {
+            results[ix] = Some(lane.result?);
         }
-        if let Some(cache) = &opts.cache {
-            cache.return_pool(session.take_pool());
-        }
-        outcome?;
     } else {
         let computed: Vec<Result<RunReport, ExpError>> = misses
             .par_iter()
@@ -425,7 +408,7 @@ impl LatticePoint {
 /// Speedups across the decoupling lattice for one workload (Fig. 8).
 /// The five lattice points compile at most twice (HCCv2 for the
 /// baseline bar, HCCv3 for the rest), and the four HCCv3 points run as
-/// one batch over a shared program — lockstep lanes when
+/// one batch over a shared program — the lanes of one session when
 /// `opts.lanes > 1`.
 pub fn decoupling_lattice(
     w: &Workload,
@@ -673,7 +656,7 @@ pub fn sweep_core_count(
 /// Sweep a ring-cache parameter; `set` mutates the default ring config.
 /// The compiled program, its decode, and the baseline are shared; every
 /// sweep point rides the same `run_batch` call, so with `opts.lanes > 1`
-/// the whole sweep steps in lockstep as lanes of one session.
+/// the whole sweep runs as the lanes of one session.
 pub fn sweep_ring<F: Fn(&mut RingConfig) + Sync>(
     w: &Workload,
     cores: usize,

@@ -194,7 +194,10 @@ impl FaultPlan {
 /// reader sees a cell file either absent or complete — also while
 /// other threads or processes store the same digest. Nothing is
 /// fsynced, so this holds across a crash of the process, not across an
-/// OS crash or power loss.
+/// OS crash or power loss. Every file ends in a trailer line holding
+/// the body's length and FNV-1a; [`Journal::load`] checks it, so a
+/// truncated, edited, or trailer-less file reads as a miss and its
+/// cell re-runs.
 #[derive(Debug, Clone)]
 pub struct Journal {
     dir: PathBuf,
@@ -223,9 +226,25 @@ impl Journal {
         self.dir.join(format!("{digest:016x}.cell"))
     }
 
-    /// Fetch a journaled cell by digest, if present.
+    /// The trailer line that seals `body` on disk.
+    fn trailer(body: &str) -> String {
+        format!(
+            "helix-journal {} {:016x}",
+            body.len(),
+            fnv1a(FNV_OFFSET, body.as_bytes())
+        )
+    }
+
+    /// Fetch a journaled cell by digest: `None` when the file is absent
+    /// or its trailer does not match its body.
     pub fn load(&self, digest: u64) -> Option<String> {
-        std::fs::read_to_string(self.path_of(digest)).ok()
+        let mut text = std::fs::read_to_string(self.path_of(digest)).ok()?;
+        let body_len = {
+            let (body, trailer) = text.strip_suffix('\n')?.rsplit_once('\n')?;
+            (trailer == Journal::trailer(body)).then_some(body.len())?
+        };
+        text.truncate(body_len);
+        Some(text)
     }
 
     /// Store a completed cell under `digest`, replacing any earlier
@@ -240,7 +259,8 @@ impl Journal {
             std::process::id(),
             WRITES.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, text).map_err(|e| {
+        let sealed = format!("{text}\n{}\n", Journal::trailer(text));
+        std::fs::write(&tmp, sealed).map_err(|e| {
             ExpError::io(format!(
                 "cannot write journal cell '{}': {e}",
                 tmp.display()
@@ -573,6 +593,45 @@ mod tests {
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal file that is truncated, has a flipped byte, or lacks
+    /// its trailer loads as a miss, never as a damaged body.
+    #[test]
+    fn damaged_entries_load_as_misses() {
+        let dir = std::env::temp_dir().join(format!(
+            "helix-journal-test-{}-{:x}",
+            std::process::id(),
+            fnv1a(FNV_OFFSET, b"damaged_entries")
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let j = Journal::open(&dir).unwrap();
+        let body = "v1\trow\npoint\t1.0\npoint\t2.0";
+        j.store(7, body).unwrap();
+        assert_eq!(j.load(7).as_deref(), Some(body));
+        let path = j.path_of(7);
+        let sealed = std::fs::read(&path).unwrap();
+        let assert_miss = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(
+                j.load(7),
+                None,
+                "damaged entry loaded: {:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        };
+        // No trailer: a file written before trailers existed.
+        assert_miss(body.as_bytes());
+        assert_miss(format!("{body}\n").as_bytes());
+        for n in [0, 1, 10, body.len(), body.len() + 1, sealed.len() - 1] {
+            assert_miss(&sealed[..n]);
+        }
+        for i in [0, 5, body.len(), sealed.len() - 3] {
+            let mut flipped = sealed.clone();
+            flipped[i] ^= 0x20;
+            assert_miss(&flipped);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -190,38 +190,6 @@ impl RingCache {
         }
     }
 
-    /// Build a ring cache, recycling a retired ring's allocations
-    /// (queues, per-node cache arrays, signal tables) when the spare's
-    /// geometry matches. Observable state is identical to
-    /// [`RingCache::new`] — only the heap traffic differs.
-    pub fn renew(cfg: RingConfig, spare: RingCache) -> RingCache {
-        if spare.cfg != cfg {
-            return RingCache::new(cfg);
-        }
-        let mut r = spare;
-        for n in &mut r.nodes {
-            n.array.clear();
-            n.in_main.clear();
-            n.inject.clear();
-            n.in_req.clear();
-            n.in_rep.clear();
-            n.signal_counts.clear();
-            n.signals_received = 0;
-            n.inject_drained = 0;
-            n.loads_completed = 0;
-        }
-        r.now = 0;
-        r.next_ticket = 0;
-        r.completed_loads.clear();
-        r.wake_mask = 0;
-        r.active_mask = 0;
-        r.in_flight = 0;
-        r.next_event_lb.set(u64::MAX);
-        r.stats = RingStats::default();
-        r.sharing = SharingProfile::default();
-        r
-    }
-
     /// Record a freshly queued message's ready time in the next-event
     /// lower bound.
     #[inline]

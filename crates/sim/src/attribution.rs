@@ -103,14 +103,6 @@ impl Attribution {
         }
     }
 
-    /// Rebuild for `cores` cores, reusing a retired table's allocation.
-    /// Observably identical to [`Attribution::new`].
-    pub fn renew(mut self, cores: usize) -> Attribution {
-        self.counts.clear();
-        self.counts.resize(cores, [0; 9]);
-        self
-    }
-
     /// Charge one cycle of `core` to `bucket`.
     pub fn charge(&mut self, core: usize, bucket: Bucket) {
         self.counts[core][bucket.index()] += 1;

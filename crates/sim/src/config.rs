@@ -50,9 +50,9 @@ pub enum EngineSel {
     /// per-instruction hot path is an index-dispatch loop. Cycle-exact
     /// with the tree interpreter; the default.
     Decoded,
-    /// The decoded engine driven through a lane-parallel
+    /// The decoded engine driven through a
     /// [`SimSession`](crate::SimSession): many machines share one
-    /// `Arc<DecodedProgram>` and step in lockstep. A machine built
+    /// `Arc<DecodedProgram>` and run one after another. A machine built
     /// directly under this selection behaves exactly like `Decoded`;
     /// the selection exists so callers (experiments, campaigns, the
     /// CLI) can request batched execution uniformly.

@@ -3,7 +3,7 @@
 use crate::attribution::Bucket;
 use crate::branch::Predictor;
 use helix_ir::interp::Thread;
-use helix_ir::{BinOp, Inst, Program, Reg, SegmentId, UnOp, Value};
+use helix_ir::{BinOp, Inst, Reg, SegmentId, UnOp};
 use std::collections::VecDeque;
 
 /// Dense segment-id set (bit vector), replacing the per-core
@@ -145,44 +145,6 @@ impl CoreState {
             rob: VecDeque::new(),
             dyn_insts: 0,
         }
-    }
-
-    /// Rebuild this core's state as [`CoreState::new`] would for the
-    /// given shape, reusing the register-file, scoreboard, and queue
-    /// allocations of a retired core. Observably identical to a fresh
-    /// construction positioned at `program`'s entry.
-    pub fn renew(
-        mut self,
-        id: usize,
-        program: &Program,
-        n_regs: usize,
-        n_segs: usize,
-    ) -> CoreState {
-        let _ = n_segs; // SegSet::clear keeps capacity; growth is on demand
-        self.id = id;
-        self.thread.regs.clear();
-        self.thread.regs.resize(n_regs, Value::default());
-        self.thread.block = program.graph.entry;
-        self.thread.ip = 0;
-        self.thread.finished = false;
-        self.thread.dyn_insts = 0;
-        self.run = if id == 0 {
-            RunState::SerialActive
-        } else {
-            RunState::SerialIdle
-        };
-        self.reg_ready.clear();
-        self.reg_ready.resize(n_regs, 0);
-        self.reg_class.clear();
-        self.reg_class.resize(n_regs, Bucket::Computation);
-        self.fetch_stall_until = 0;
-        self.granted.clear();
-        self.signaled.clear();
-        self.pending_ring.clear();
-        self.predictor = Predictor::new();
-        self.rob.clear();
-        self.dyn_insts = 0;
-        self
     }
 
     /// Reset per-iteration synchronization state.

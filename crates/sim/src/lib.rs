@@ -58,7 +58,7 @@ pub mod sync;
 
 pub use attribution::{Attribution, Bucket};
 pub use config::{CacheConfig, CoreModel, DecoupleConfig, EngineSel, MachineConfig, SyncModel};
-pub use machine::{simulate, simulate_sequential, Machine, MachineSpares, RunReport, SimError};
+pub use machine::{simulate, simulate_sequential, Machine, RunReport, SimError};
 pub use memsys::{MemStats, MemSystem};
 pub use race::RaceViolation;
-pub use session::{LaneConfig, LaneResult, MachinePool, SimSession};
+pub use session::{LaneResult, SimSession};

@@ -335,48 +335,6 @@ const MAX_ITER_SAMPLES: usize = 1 << 16;
 /// the transfer completes (spin-loop detection).
 const SPIN_OVERHEAD: u64 = 2;
 
-/// A retired machine's reusable allocations, detached from any program
-/// lifetime. [`Machine::into_spares`] produces one;
-/// [`Machine::recycled`] rebuilds a machine from one, observably
-/// identical to a from-scratch [`Machine::new`] — every component is
-/// reset through a `renew` path that reuses buffer capacity but
-/// restores construction-time state. Spares from a mismatched shape
-/// still work: each component falls back to a fresh build where its
-/// geometry differs.
-#[derive(Debug, Default)]
-pub struct MachineSpares {
-    cores: Vec<CoreState>,
-    memsys: Option<MemSystem>,
-    ring: Option<RingCache>,
-    sync: Option<SyncState>,
-    race: Option<RaceDetector>,
-    attr: Option<Attribution>,
-    plan_by_header: Vec<Option<usize>>,
-    plan_blocks: Vec<Vec<bool>>,
-    protocol_errors: Vec<String>,
-    iteration_lengths: Vec<u32>,
-    stall_buckets: Vec<Bucket>,
-    asleep_until: Vec<u64>,
-    sleep_bucket: Vec<Bucket>,
-    sleep_from: Vec<u64>,
-    stall_guard: Vec<Option<StallGuard>>,
-    dep_mask: Vec<u64>,
-    dep_src: Vec<u32>,
-    wait_memo: Vec<WaitMemo>,
-    sink_mem: Vec<MemAccess>,
-    uop_lat: Vec<u32>,
-}
-
-impl MachineSpares {
-    /// The configuration shape these spares were retired under:
-    /// `(core count, had a ring)`. Pools key on this so a recycled
-    /// build mostly finds same-sized buffers; a mismatch is never
-    /// wrong, just less reuse.
-    pub fn shape(&self) -> (usize, bool) {
-        (self.cores.len(), self.ring.is_some())
-    }
-}
-
 impl<'p> Machine<'p> {
     /// Build a machine over a (possibly transformed) program and its
     /// parallel-loop plans.
@@ -385,7 +343,7 @@ impl<'p> Machine<'p> {
             .engine
             .is_decoded()
             .then(|| Arc::new(helix_ir::decode::decode(program)));
-        Machine::build(program, plans, cfg, decoded, MachineSpares::default())
+        Machine::build(program, plans, cfg, decoded)
     }
 
     /// Build a machine over an already-decoded program, sharing the
@@ -403,55 +361,7 @@ impl<'p> Machine<'p> {
             cfg.engine.is_decoded(),
             "with_decoded requires a decoded engine"
         );
-        Machine::build(program, plans, cfg, Some(decoded), MachineSpares::default())
-    }
-
-    /// Build a machine over a retired machine's recycled allocations
-    /// (see [`MachineSpares`]). `decoded` is used only when the
-    /// configuration selects a decoded engine; pass `None` to decode
-    /// here. Results are bit-identical to [`Machine::new`] with the
-    /// same inputs.
-    pub fn recycled(
-        program: &'p Program,
-        plans: &'p [LoopPlan],
-        cfg: MachineConfig,
-        decoded: Option<Arc<DecodedProgram>>,
-        spares: MachineSpares,
-    ) -> Machine<'p> {
-        let decoded = if cfg.engine.is_decoded() {
-            Some(decoded.unwrap_or_else(|| Arc::new(helix_ir::decode::decode(program))))
-        } else {
-            None
-        };
-        Machine::build(program, plans, cfg, decoded, spares)
-    }
-
-    /// Retire this machine into its reusable allocations.
-    pub fn into_spares(self) -> MachineSpares {
-        let mut sink_mem = self.sink.mem;
-        sink_mem.clear();
-        MachineSpares {
-            cores: self.cores,
-            memsys: Some(self.memsys),
-            ring: self.ring,
-            sync: Some(self.sync),
-            race: Some(self.race),
-            attr: Some(self.attr),
-            plan_by_header: self.plan_by_header,
-            plan_blocks: self.plan_blocks,
-            protocol_errors: self.protocol_errors,
-            iteration_lengths: self.iteration_lengths,
-            stall_buckets: self.stall_buckets,
-            asleep_until: self.asleep_until,
-            sleep_bucket: self.sleep_bucket,
-            sleep_from: self.sleep_from,
-            stall_guard: self.stall_guard,
-            dep_mask: self.dep_mask,
-            dep_src: self.dep_src,
-            wait_memo: self.wait_memo,
-            sink_mem,
-            uop_lat: self.uop_lat,
-        }
+        Machine::build(program, plans, cfg, Some(decoded))
     }
 
     fn build(
@@ -459,31 +369,8 @@ impl<'p> Machine<'p> {
         plans: &'p [LoopPlan],
         cfg: MachineConfig,
         decoded: Option<Arc<DecodedProgram>>,
-        spares: MachineSpares,
     ) -> Machine<'p> {
         cfg.assert_valid();
-        let MachineSpares {
-            cores: spare_cores,
-            memsys: spare_memsys,
-            ring: spare_ring,
-            sync: spare_sync,
-            race: spare_race,
-            attr: spare_attr,
-            mut plan_by_header,
-            mut plan_blocks,
-            mut protocol_errors,
-            mut iteration_lengths,
-            mut stall_buckets,
-            mut asleep_until,
-            mut sleep_bucket,
-            mut sleep_from,
-            mut stall_guard,
-            mut dep_mask,
-            mut dep_src,
-            mut wait_memo,
-            sink_mem,
-            mut uop_lat,
-        } = spares;
         let env = Env::for_program(program);
         let n_regs = program.n_regs as usize;
         let n_segs = plans
@@ -492,115 +379,71 @@ impl<'p> Machine<'p> {
             .map(|s| s.id.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut cores: Vec<CoreState> = spare_cores
-            .into_iter()
-            .take(cfg.cores)
-            .enumerate()
-            .map(|(id, c)| c.renew(id, program, n_regs, n_segs))
+        let cores: Vec<CoreState> = (0..cfg.cores)
+            .map(|id| CoreState::new(id, Thread::at_entry(program), n_regs, n_segs))
             .collect();
-        for id in cores.len()..cfg.cores {
-            cores.push(CoreState::new(
-                id,
-                Thread::at_entry(program),
-                n_regs,
-                n_segs,
-            ));
-        }
-        let memsys = match spare_memsys {
-            Some(m) => MemSystem::renew(&cfg, m),
-            None => MemSystem::new(&cfg),
-        };
         let ring = cfg.ring.map(|mut rc| {
             // The ring's idle-tick short-circuit is part of the fast
             // path: the naive reference mode must pay the full
             // per-cycle walk it is meant to measure.
             rc.event_skip = cfg.fast_forward;
-            match spare_ring {
-                Some(spare) => RingCache::renew(rc, spare),
-                None => RingCache::new(rc),
-            }
+            RingCache::new(rc)
         });
-        plan_by_header.clear();
-        plan_by_header.resize(program.graph.blocks.len(), None);
+        let n_blocks = program.graph.blocks.len();
+        let mut plan_by_header = vec![None; n_blocks];
         for (i, p) in plans.iter().enumerate() {
             plan_by_header[p.header.index()] = Some(i);
         }
-        plan_blocks.truncate(plans.len());
-        plan_blocks.resize_with(plans.len(), Vec::new);
-        for (p, member) in plans.iter().zip(&mut plan_blocks) {
-            member.clear();
-            member.resize(program.graph.blocks.len(), false);
-            for b in &p.blocks {
-                member[b.index()] = true;
-            }
-        }
-        uop_lat.clear();
-        if let Some(d) = decoded.as_ref() {
-            uop_lat.extend(d.insts().iter().map(inst_latency));
-        }
-        protocol_errors.clear();
-        iteration_lengths.clear();
-        stall_buckets.clear();
-        stall_buckets.resize(cfg.cores, Bucket::SerialIdle);
-        asleep_until.clear();
-        asleep_until.resize(cfg.cores, 0);
-        sleep_bucket.clear();
-        sleep_bucket.resize(cfg.cores, Bucket::SerialIdle);
-        sleep_from.clear();
-        sleep_from.resize(cfg.cores, u64::MAX);
-        stall_guard.clear();
-        stall_guard.resize(cfg.cores, None);
-        dep_mask.clear();
-        dep_mask.resize(cfg.cores, 0);
-        dep_src.clear();
-        dep_src.resize(cfg.cores, u32::MAX);
-        wait_memo.clear();
-        wait_memo.resize(cfg.cores, WaitMemo::EMPTY);
+        let plan_blocks = plans
+            .iter()
+            .map(|p| {
+                let mut member = vec![false; n_blocks];
+                for b in &p.blocks {
+                    member[b.index()] = true;
+                }
+                member
+            })
+            .collect();
+        let uop_lat = decoded
+            .as_ref()
+            .map(|d| d.insts().iter().map(inst_latency).collect())
+            .unwrap_or_default();
         Machine {
             program,
             plans,
-            attr: match spare_attr {
-                Some(a) => a.renew(cfg.cores),
-                None => Attribution::new(cfg.cores),
-            },
+            attr: Attribution::new(cfg.cores),
             env,
             cores,
-            memsys,
+            memsys: MemSystem::new(&cfg),
             ring,
-            sync: match spare_sync {
-                Some(s) => s.renew(n_segs, cfg.cores),
-                None => SyncState::new(n_segs, cfg.cores),
-            },
-            race: match spare_race {
-                Some(r) => r.renew(),
-                None => RaceDetector::new(),
-            },
+            sync: SyncState::new(n_segs, cfg.cores),
+            race: RaceDetector::new(),
             now: 0,
             mode: Mode::Serial,
             plan_by_header,
             plan_blocks,
             pending_enter: None,
-            protocol_errors,
+            protocol_errors: Vec::new(),
             loop_invocations: 0,
             iterations: 0,
-            iteration_lengths,
+            iteration_lengths: Vec::new(),
             min_iter: 0,
             min_iter_dirty: true,
             done_cores: 0,
-            stall_buckets,
-            asleep_until,
-            sleep_bucket,
-            sleep_from,
+            stall_buckets: vec![Bucket::SerialIdle; cfg.cores],
+            asleep_until: vec![0; cfg.cores],
+            sleep_bucket: vec![Bucket::SerialIdle; cfg.cores],
+            sleep_from: vec![u64::MAX; cfg.cores],
             sleeping_count: 0,
             next_deadline: u64::MAX,
-            stall_guard,
+            stall_guard: vec![None; cfg.cores],
             armed_guard: None,
             wake_bits: u64::MAX,
-            dep_mask,
-            dep_src,
+            dep_mask: vec![0; cfg.cores],
+            dep_src: vec![u32::MAX; cfg.cores],
             lap_sleepers: 0,
-            wait_memo,
-            sink: CapSink { mem: sink_mem },
+            wait_memo: vec![WaitMemo::EMPTY; cfg.cores],
+            sink: CapSink { mem: Vec::new() },
             decoded,
             uop_lat,
             cfg,
@@ -621,32 +464,9 @@ impl<'p> Machine<'p> {
     ///
     /// Fails on functional faults or fuel exhaustion.
     pub fn run(&mut self, fuel: u64) -> Result<RunReport, SimError> {
-        match self.run_slice(u64::MAX, fuel) {
-            Ok(Some(report)) => Ok(report),
-            Ok(None) => unreachable!("run_slice(u64::MAX, _) always retires or errors"),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Run until the machine finishes, the clock reaches `until`, or
-    /// `fuel` cycles elapse — the resumable slice primitive lane
-    /// sessions step machines with. Returns `Ok(Some(report))` when the
-    /// program retired, `Ok(None)` when the slice boundary was reached
-    /// first (call again with a later `until` to continue). The
-    /// trajectory is identical to an unsliced [`Machine::run`]: slicing
-    /// only bounds how far one call advances the clock.
-    ///
-    /// # Errors
-    ///
-    /// Fails on functional faults or fuel exhaustion (fuel is measured
-    /// on the machine's own clock, so it is slice-invariant).
-    pub fn run_slice(&mut self, until: u64, fuel: u64) -> Result<Option<RunReport>, SimError> {
         while !self.finished() {
             if self.now >= fuel {
                 return Err(SimError::FuelExhausted { cycles: self.now });
-            }
-            if self.now >= until {
-                return Ok(None);
             }
             let wake = self.tick_cycle()?;
             if let Some(wake) = wake {
@@ -678,52 +498,11 @@ impl<'p> Machine<'p> {
             }
         }
         self.settle_sleeps();
-        Ok(Some(self.report()))
+        Ok(self.report())
     }
 
     fn finished(&self) -> bool {
         matches!(self.mode, Mode::Serial) && self.cores[0].thread.finished
-    }
-
-    /// Scheduling hint for lane sessions: a lower bound on the next
-    /// machine-clock cycle at which this machine does real (non-fast-
-    /// forwardable) work. `u64::MAX` when finished. When every core is
-    /// sleeping with no wake hint pending, the next event is the
-    /// earliest sleep deadline or ring arrival (translated to the
-    /// machine clock, which the ring clock can lag); otherwise it is
-    /// simply `now`. Purely advisory: stepping the machine earlier or
-    /// later never changes its trajectory, only how much of a slice is
-    /// spent fast-forwarding.
-    pub fn next_event_at(&self) -> u64 {
-        if self.finished() {
-            return u64::MAX;
-        }
-        if self.sleeping_count == self.cfg.cores
-            && self.wake_bits == 0
-            && self.now < self.next_deadline
-        {
-            let ring_bound = self
-                .ring
-                .as_ref()
-                .and_then(|r| {
-                    r.next_event_at()
-                        .map(|t| t.saturating_add(self.now - r.now()))
-                })
-                .unwrap_or(u64::MAX);
-            return self.next_deadline.min(ring_bound).max(self.now);
-        }
-        self.now
-    }
-
-    /// Mid-run progress counters `(now, retired dynamic instructions)`,
-    /// for exactness diagnostics that step two machines in lockstep
-    /// with [`Machine::run_slice`] and compare trajectories.
-    #[doc(hidden)]
-    pub fn probe_progress(&self) -> (u64, u64) {
-        (
-            self.now,
-            self.cores.iter().map(|c| c.thread.dyn_insts).sum(),
-        )
     }
 
     fn report(&self) -> RunReport {

@@ -51,29 +51,6 @@ impl TimingCache {
         }
     }
 
-    /// Build a cache from a geometry description, reusing a retired
-    /// cache's slot array when its size matches. Observably identical
-    /// to [`TimingCache::new`].
-    pub fn renew(cfg: &CacheConfig, spare: TimingCache) -> TimingCache {
-        let lines = (cfg.size / cfg.line).max(1) as usize;
-        let n_sets = (lines / cfg.assoc).max(1);
-        if spare.slots.len() != n_sets * cfg.assoc {
-            return TimingCache::new(cfg);
-        }
-        let mut c = spare;
-        c.slots.iter_mut().for_each(|s| *s = (0, 0));
-        c.n_sets = n_sets;
-        c.assoc = cfg.assoc;
-        c.line = cfg.line;
-        c.clock = 0;
-        c.line_shift = cfg
-            .line
-            .is_power_of_two()
-            .then(|| cfg.line.trailing_zeros());
-        c.set_mask = n_sets.is_power_of_two().then(|| n_sets - 1);
-        c
-    }
-
     /// Line address of a byte address.
     pub fn line_of(&self, addr: u64) -> u64 {
         match self.line_shift {
@@ -227,13 +204,6 @@ impl Directory {
         &mut self.vals[i]
     }
 
-    /// Empty the table, keeping its allocation. Stale values behind
-    /// zeroed keys are unreachable (every probe checks the key first).
-    fn clear(&mut self) {
-        self.keys.iter_mut().for_each(|k| *k = 0);
-        self.live = 0;
-    }
-
     fn grow(&mut self) {
         // Entries whose sharer set emptied are semantically absent
         // (`sharers == 0` implies `dirty == None`); purge them while
@@ -303,43 +273,6 @@ impl MemSystem {
             l2_banks: cfg.l2_banks.max(1),
             dram: Dram::new(16, cfg.dram_row_hit, cfg.dram_row_miss),
             dir: Directory::default(),
-            l1_lat: cfg.l1.hit_latency,
-            l1_line: cfg.l1.line,
-            l2_lat: cfg.l2.hit_latency,
-            c2c: cfg.c2c_latency,
-            stats: MemStats::default(),
-        }
-    }
-
-    /// Build the hierarchy described by `cfg`, recycling a retired
-    /// hierarchy's flat tables (L1/L2 slot arrays, coherence directory)
-    /// where geometry permits. Observably identical to
-    /// [`MemSystem::new`].
-    pub fn renew(cfg: &MachineConfig, spare: MemSystem) -> MemSystem {
-        let MemSystem {
-            mut l1,
-            l2,
-            mut l2_busy,
-            mut dir,
-            ..
-        } = spare;
-        l1.truncate(cfg.cores);
-        let l1: Vec<TimingCache> = l1
-            .into_iter()
-            .map(|s| TimingCache::renew(&cfg.l1, s))
-            .chain(std::iter::repeat_with(|| TimingCache::new(&cfg.l1)))
-            .take(cfg.cores)
-            .collect();
-        l2_busy.clear();
-        l2_busy.resize(cfg.l2_banks.max(1), 0);
-        dir.clear();
-        MemSystem {
-            l1,
-            l2: TimingCache::renew(&cfg.l2, l2),
-            l2_busy,
-            l2_banks: cfg.l2_banks.max(1),
-            dram: Dram::new(16, cfg.dram_row_hit, cfg.dram_row_miss),
-            dir,
             l1_lat: cfg.l1.hit_latency,
             l1_line: cfg.l1.line,
             l2_lat: cfg.l2.hit_latency,

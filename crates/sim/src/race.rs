@@ -164,14 +164,6 @@ impl RaceDetector {
         self.words.clear();
     }
 
-    /// Rebuild as fresh, reusing a retired detector's word-map
-    /// allocation. Observably identical to [`RaceDetector::new`].
-    pub fn renew(mut self) -> RaceDetector {
-        self.words.clear();
-        self.violations.clear();
-        self
-    }
-
     fn push(&mut self, v: RaceViolation) {
         if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(v);

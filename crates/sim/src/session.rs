@@ -1,110 +1,24 @@
-//! Lane-parallel batch simulation: decode a program once, then step
-//! many independent machines as *lanes*.
+//! Batch simulation: decode a program once, then run many independent
+//! machines over it as *lanes*.
 //!
 //! Campaigns are lane-shaped: hundreds of grid cells simulate the same
 //! scenario program under machine configurations that differ only in
 //! core count, ring parameters, or compiler generation. A
 //! [`SimSession`] is built once per (program, plans) pair, decodes the
 //! program a single time (`Arc<DecodedProgram>` shared by every lane),
-//! and [`drain`](SimSession::drain)s all enqueued lanes.
-//!
-//! Draining is event-cooperative: lanes sit in a min-heap keyed by
-//! each machine's [`next_event_at`](Machine::next_event_at) hint, and
-//! each step advances the laggard lane until the next lane's event (or
-//! at least one scheduling chunk, `CHUNK`). Only lanes with live work are ever
-//! stepped; a lone surviving lane runs to completion in a single
-//! slice. Finished lanes retire immediately and their allocations are
-//! recycled into the session's [`MachinePool`], so later lanes (and
-//! later batches on a reused session) build machines without
-//! reallocating the big per-core and cache tables.
-//!
-//! Slicing uses [`Machine::run_slice`], whose trajectory is identical
-//! to an unsliced [`Machine::run`], and lanes are fully independent,
-//! so the schedule is pure policy: a lane's result is bit-identical to
-//! running its configuration alone — the property the lane-exactness
-//! regression tests pin across every committed scenario.
+//! and [`drain`](SimSession::drain)s all enqueued lanes one after
+//! another. Each lane is an ordinary [`Machine::with_decoded`] (or
+//! [`Machine::new`] for the tree engine) run once with
+//! [`Machine::run`], so its result is exactly the standalone result —
+//! the property the lane-exactness regression tests pin across every
+//! committed scenario.
 
 use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineSpares, RunReport, SimError};
+use crate::machine::{Machine, RunReport, SimError};
 use helix_hcc::LoopPlan;
 use helix_ir::decode::DecodedProgram;
 use helix_ir::Program;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Minimum number of cycles a scheduled lane advances per slice. Large
-/// enough that slice bookkeeping is noise, small enough that short
-/// lanes retire promptly.
-const CHUNK: u64 = 1 << 15;
-
-/// How many retired machines' allocations a pool keeps. Campaign
-/// batches rarely run more lanes than this concurrently; beyond it,
-/// spares are dropped rather than hoarded.
-const POOL_CAP: usize = 64;
-
-/// A bag of retired machines' reusable allocations (see
-/// [`MachineSpares`]). Sessions recycle retired lanes through their
-/// pool automatically; callers that run many sessions (e.g. a campaign
-/// stepping through scenario chunks) can move the pool between them
-/// with [`SimSession::take_pool`]/[`SimSession::set_pool`] so reuse
-/// spans batches.
-#[derive(Debug, Default)]
-pub struct MachinePool {
-    spares: Vec<MachineSpares>,
-}
-
-impl MachinePool {
-    /// An empty pool.
-    pub fn new() -> MachinePool {
-        MachinePool::default()
-    }
-
-    /// Take spares for a machine of `shape` (see
-    /// [`MachineSpares::shape`]), preferring an exact match. Returns
-    /// empty spares when the pool is dry — building from those is just
-    /// a from-scratch build.
-    pub fn take(&mut self, shape: (usize, bool)) -> MachineSpares {
-        if let Some(i) = self.spares.iter().position(|s| s.shape() == shape) {
-            return self.spares.swap_remove(i);
-        }
-        self.spares.pop().unwrap_or_default()
-    }
-
-    /// Return spares to the pool (dropped beyond the pool cap).
-    pub fn put(&mut self, spares: MachineSpares) {
-        if self.spares.len() < POOL_CAP {
-            self.spares.push(spares);
-        }
-    }
-
-    /// Move every spare from `other` into this pool (bounded by the
-    /// cap).
-    pub fn merge(&mut self, other: MachinePool) {
-        for s in other.spares {
-            self.put(s);
-        }
-    }
-
-    /// Number of pooled spares.
-    pub fn len(&self) -> usize {
-        self.spares.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.spares.is_empty()
-    }
-}
-
-/// One enqueued lane: a machine configuration plus its cycle budget.
-#[derive(Debug, Clone)]
-pub struct LaneConfig {
-    /// Machine configuration for this lane.
-    pub cfg: MachineConfig,
-    /// Cycle budget (fuel) for this lane.
-    pub fuel: u64,
-}
 
 /// One completed lane, tagged with the index its configuration was
 /// enqueued under.
@@ -129,8 +43,8 @@ pub struct SimSession<'p> {
     program: &'p Program,
     plans: &'p [LoopPlan],
     decoded: Option<Arc<DecodedProgram>>,
-    lanes: Vec<LaneConfig>,
-    pool: MachinePool,
+    /// Enqueued lanes: machine configuration and cycle budget (fuel).
+    lanes: Vec<(MachineConfig, u64)>,
 }
 
 impl<'p> SimSession<'p> {
@@ -142,7 +56,6 @@ impl<'p> SimSession<'p> {
             plans,
             decoded: None,
             lanes: Vec::new(),
-            pool: MachinePool::new(),
         }
     }
 
@@ -155,29 +68,14 @@ impl<'p> SimSession<'p> {
         decoded: Arc<DecodedProgram>,
     ) -> SimSession<'p> {
         SimSession {
-            program,
-            plans,
             decoded: Some(decoded),
-            lanes: Vec::new(),
-            pool: MachinePool::new(),
+            ..SimSession::new(program, plans)
         }
-    }
-
-    /// Seed the session's machine pool (e.g. with spares recycled from
-    /// a previous session), merging with whatever it already holds.
-    pub fn set_pool(&mut self, pool: MachinePool) {
-        self.pool.merge(pool);
-    }
-
-    /// Take the session's machine pool, leaving it empty — so spares
-    /// retired here can seed the next session.
-    pub fn take_pool(&mut self) -> MachinePool {
-        std::mem::take(&mut self.pool)
     }
 
     /// Enqueue one lane; returns its lane index.
     pub fn enqueue(&mut self, cfg: MachineConfig, fuel: u64) -> usize {
-        self.lanes.push(LaneConfig { cfg, fuel });
+        self.lanes.push((cfg, fuel));
         self.lanes.len() - 1
     }
 
@@ -194,89 +92,30 @@ impl<'p> SimSession<'p> {
             .clone()
     }
 
-    /// Run every enqueued lane to completion and return the results in
-    /// lane order. Lanes are scheduled event-cooperatively off a
-    /// min-heap keyed by [`Machine::next_event_at`]: each step advances
-    /// the laggard lane until the runner-up's next event (at least one
-    /// `CHUNK`), and the last surviving lane runs to completion in one
-    /// slice. A lane that finishes (or faults) retires immediately and
-    /// its allocations recycle into the session pool. The queue is
-    /// cleared, so the session can be reused for another batch — with
-    /// the pool warm.
+    /// Run every enqueued lane to completion, in enqueue order, and
+    /// return the results in lane order. A lane that faults or exhausts
+    /// its fuel reports the error without affecting the others. The
+    /// queue is cleared, so the session can be reused for another batch
+    /// over the same decode.
     pub fn drain(&mut self) -> Vec<LaneResult> {
         let lanes = std::mem::take(&mut self.lanes);
-        let mut results: Vec<Option<LaneResult>> = (0..lanes.len()).map(|_| None).collect();
-        // Build every machine up front; decoded lanes share one Arc and
-        // retired shapes from the pool are reused where they fit.
-        let mut active: Vec<Option<(u64, Machine<'p>)>> = Vec::with_capacity(lanes.len());
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(lanes.len());
-        for (ix, lane) in lanes.into_iter().enumerate() {
-            let shape = (lane.cfg.cores, lane.cfg.ring.is_some());
-            let decoded = if lane.cfg.engine.is_decoded() {
-                Some(self.decoded())
-            } else {
-                None
-            };
-            let spares = self.pool.take(shape);
-            let machine = Machine::recycled(self.program, self.plans, lane.cfg, decoded, spares);
-            heap.push(Reverse((machine.next_event_at(), ix)));
-            active.push(Some((lane.fuel, machine)));
-        }
-        // A heap key is the lane's next-event hint as of its last push;
-        // lanes only advance while popped, so keys are never stale.
-        while let Some(Reverse((key, ix))) = heap.pop() {
-            let (fuel, mut machine) = active[ix].take().expect("heap entry has a live lane");
-            let until = match heap.peek() {
-                // Advance to the runner-up's event so the laggard stays
-                // the laggard, but always by at least one chunk so tied
-                // lanes interleave coarsely instead of ping-ponging.
-                Some(&Reverse((next, _))) => next.max(key.saturating_add(CHUNK)),
-                None => u64::MAX,
-            };
-            match machine.run_slice(until, fuel) {
-                Ok(None) => {
-                    heap.push(Reverse((machine.next_event_at(), ix)));
-                    active[ix] = Some((fuel, machine));
-                }
-                Ok(Some(report)) => {
-                    results[ix] = Some(LaneResult {
-                        lane: ix,
-                        result: Ok(report),
-                    });
-                    self.pool.put(machine.into_spares());
-                }
-                Err(e) => {
-                    results[ix] = Some(LaneResult {
-                        lane: ix,
-                        result: Err(e),
-                    });
-                    self.pool.put(machine.into_spares());
-                }
-            }
-        }
-        results
+        lanes
             .into_iter()
-            .map(|r| r.expect("lane retired"))
+            .enumerate()
+            .map(|(lane, (cfg, fuel))| {
+                let mut machine = if cfg.engine.is_decoded() {
+                    let decoded = self.decoded();
+                    Machine::with_decoded(self.program, self.plans, cfg, decoded)
+                } else {
+                    Machine::new(self.program, self.plans, cfg)
+                };
+                LaneResult {
+                    lane,
+                    result: machine.run(fuel),
+                }
+            })
             .collect()
     }
-}
-
-/// Convenience: run one configuration as a single-lane session — the
-/// fallback the campaign's chaos-injected and budget-isolated cells
-/// use, preserving per-cell failure isolation.
-pub fn run_one(
-    program: &Program,
-    plans: &[LoopPlan],
-    cfg: MachineConfig,
-    fuel: u64,
-) -> Result<RunReport, SimError> {
-    let mut session = SimSession::new(program, plans);
-    session.enqueue(cfg, fuel);
-    session
-        .drain()
-        .pop()
-        .expect("single-lane session yields one result")
-        .result
 }
 
 #[cfg(test)]
@@ -361,71 +200,5 @@ mod tests {
         session.enqueue(MachineConfig::conventional(1), 1 << 24);
         let _ = session.drain();
         assert!(session.decoded.is_some());
-    }
-
-    /// Reused sessions rebuild machines from recycled spares — across
-    /// rounds, shapes, and engines — and every lane still lands on the
-    /// full standalone report, field for field.
-    #[test]
-    fn pool_recycling_is_exact() {
-        let program = axpy();
-        let compiled = helix_hcc::compile(&program, &helix_hcc::HccConfig::v3(4)).unwrap();
-        let cfgs = [
-            MachineConfig::helix_rc(4),
-            MachineConfig::conventional(2),
-            MachineConfig::conventional(4).with_engine(EngineSel::Tree),
-        ];
-        let mut session = SimSession::new(&compiled.program, &compiled.plans);
-        for round in 0..3 {
-            for cfg in &cfgs {
-                session.enqueue(cfg.clone(), 1 << 24);
-            }
-            let results = session.drain();
-            for (ix, cfg) in cfgs.iter().enumerate() {
-                let alone = Machine::new(&compiled.program, &compiled.plans, cfg.clone())
-                    .run(1 << 24)
-                    .unwrap();
-                let lane = results[ix].result.as_ref().unwrap();
-                assert_eq!(
-                    format!("{lane:?}"),
-                    format!("{alone:?}"),
-                    "round {round} lane {ix}"
-                );
-            }
-            assert!(
-                !session.pool.is_empty(),
-                "retired lanes must land in the pool"
-            );
-        }
-    }
-
-    /// A pool handed from one session to another keeps working: the
-    /// receiving session builds from foreign spares and stays exact.
-    #[test]
-    fn pool_handoff_between_sessions_is_exact() {
-        let program = axpy();
-        let cfg = MachineConfig::conventional(2);
-        let mut first = SimSession::new(&program, &[]);
-        first.enqueue(cfg.clone(), 1 << 24);
-        let baseline = first.drain().pop().unwrap().result.unwrap();
-        let pool = first.take_pool();
-        assert!(first.pool.is_empty());
-
-        let mut second = SimSession::new(&program, &[]);
-        second.set_pool(pool);
-        second.enqueue(cfg, 1 << 24);
-        let reused = second.drain().pop().unwrap().result.unwrap();
-        assert_eq!(format!("{reused:?}"), format!("{baseline:?}"));
-    }
-
-    /// run_one matches a plain Machine::run.
-    #[test]
-    fn run_one_matches_machine_run() {
-        let program = axpy();
-        let cfg = MachineConfig::conventional(1);
-        let one = run_one(&program, &[], cfg.clone(), 1 << 24).unwrap();
-        let alone = Machine::new(&program, &[], cfg).run(1 << 24).unwrap();
-        assert_eq!(one.cycles, alone.cycles);
-        assert_eq!(one.mem_digest, alone.mem_digest);
     }
 }

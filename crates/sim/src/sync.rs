@@ -34,18 +34,6 @@ impl SyncState {
         }
     }
 
-    /// Rebuild for a new shape, reusing a retired table's allocations.
-    /// Observably identical to [`SyncState::new`].
-    pub fn renew(mut self, n_segs: usize, cores: usize) -> SyncState {
-        let want = n_segs * cores.max(1);
-        for v in &mut self.sent {
-            v.clear();
-        }
-        self.sent.resize(want, Vec::new());
-        self.cores = cores.max(1);
-        self
-    }
-
     fn slot(&self, seg: SegmentId, core: usize) -> usize {
         seg.index() * self.cores + core
     }

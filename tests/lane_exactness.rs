@@ -1,7 +1,8 @@
-//! Lane-exactness pins: batched lane-parallel campaign execution is a
-//! pure performance feature — a report produced with any lane width,
-//! engine selection, or shared-cache configuration must be
-//! byte-identical to the single-lane per-cell baseline. These tests
+//! Lane-exactness pins: batched lane execution (one shared decode and
+//! a per-scenario cache) is a pure performance feature — a report
+//! produced with any lane width, engine selection, or shared-cache
+//! configuration must be byte-identical to the single-lane per-cell
+//! baseline. These tests
 //! enforce that across every committed scenario (the paper campaign),
 //! across the engine axis (tree and decoded, standalone and batched),
 //! and under the chaos harness (fault-injected cells stay isolated
@@ -38,9 +39,9 @@ fn batched_paper_campaign_is_byte_identical_to_per_cell() {
         load_campaign(&repo_path("campaigns/paper.toml")).expect("paper campaign loads");
     let baseline = run(&spec, &scenarios, &RunOptions::new());
     assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
-    // lanes=4 leaves each scenario's cells spanning several session
-    // chunks, so chunk boundaries are exercised too (wider widths only
-    // repeat the same ~40s campaign without new coverage).
+    // Any width > 1 takes the same path (a shared per-scenario cache,
+    // each cell's misses as lanes of one session); wider widths only
+    // repeat the same ~40s campaign without new coverage.
     let batched = run(&spec, &scenarios, &RunOptions::new().with_lanes(4));
     assert_eq!(
         batched.to_json(),
@@ -155,10 +156,10 @@ proptest! {
 
     /// Property form of the lane-exactness pin at the session layer:
     /// for ANY lane count, enqueue order, engine mix, shape mix, and
-    /// fuel mix, every lane's report (or error) out of the
-    /// event-cooperative drain is byte-identical to a standalone
-    /// `Machine::run` of the same config — including lanes recycled
-    /// out of the session's machine pool on later drains.
+    /// fuel mix, every lane's report (or error) out of the session
+    /// drain is byte-identical to a standalone `Machine::run` of the
+    /// same config — also on a second drain of the same session, over
+    /// its already-shared decode.
     #[test]
     fn random_lane_mixes_match_standalone_runs(
         lanes in prop::collection::vec(lane_strategy(), 1..7),
