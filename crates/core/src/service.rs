@@ -20,18 +20,21 @@
 //!
 //! A malformed or unknown request yields a typed
 //! [`Response::Error`] line and the connection — and the server — stay
-//! up. [`Request::Shutdown`] is acknowledged, then the accept loop
-//! drains in-flight work and
-//! removes the socket. Protocol details live in `docs/SERVICE.md`.
+//! up. [`Request::Shutdown`] wakes the blocked accept loop, which
+//! drains in-flight work and removes the socket. A slow or hostile
+//! client holds at most one of [`MAX_CONNECTIONS`] connection threads,
+//! and for at most [`WRITE_TIMEOUT`] per blocked response write.
+//! Protocol details live in `docs/SERVICE.md`.
 
 use crate::api::{self, Request, Response, ServiceStatus};
 use crate::error::{ErrorKind, HelixError};
 use crate::resilient::{fnv1a, panic_message, Journal, FNV_OFFSET};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -40,6 +43,17 @@ use std::time::Duration;
 /// the connection is closed, so it cannot grow the buffer without
 /// bound. All 23 committed scenarios inline come to about 25 KB.
 pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
+/// Most connections served at once. The next one is answered with one
+/// `E_IO` "server busy" line and closed, so idle clients can neither
+/// grow the thread count without bound nor stall the accept loop.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Longest a response write may block. A client that pipelines
+/// requests and never reads its answers fills the socket buffer; the
+/// timed-out write ends its connection, so `Shutdown` cannot be held
+/// up behind it for longer than this.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Configuration of a `helix serve` instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +96,15 @@ struct Counters {
 }
 
 struct Shared {
+    /// The listening socket, connected to once to wake `accept` on
+    /// shutdown.
+    socket: PathBuf,
     journal: PathBuf,
     workers: usize,
     shutdown: AtomicBool,
+    /// Connection threads currently running (at most
+    /// [`MAX_CONNECTIONS`]).
+    connections: AtomicUsize,
     counters: Mutex<Counters>,
     /// Available worker permits.
     permits: Mutex<usize>,
@@ -95,13 +115,20 @@ struct Shared {
 }
 
 /// Run the service until a shutdown request arrives. Binds the socket,
-/// accepts connections, and handles each on its own thread; returns
-/// after in-flight work drains and the socket file is removed.
+/// blocks in `accept`, and handles each connection on its own thread;
+/// returns after in-flight work drains and the socket file is removed.
 ///
-/// A stale socket file left by a crashed server is replaced; a socket
-/// with a *live* listener is refused with [`ErrorKind::Usage`].
+/// A stale socket left by a crashed server is replaced. A socket with a
+/// *live* listener, or a path that is not a socket at all, is refused
+/// with [`ErrorKind::Usage`] and left as it is.
 pub fn serve(options: &ServeOptions) -> Result<(), HelixError> {
-    if options.socket.exists() {
+    if let Ok(meta) = std::fs::symlink_metadata(&options.socket) {
+        if !meta.file_type().is_socket() {
+            return Err(HelixError::usage(format!(
+                "'{}' exists and is not a socket; refusing to replace it",
+                options.socket.display()
+            )));
+        }
         if UnixStream::connect(&options.socket).is_ok() {
             return Err(HelixError::usage(format!(
                 "socket '{}' already has a listening server",
@@ -121,15 +148,14 @@ pub fn serve(options: &ServeOptions) -> Result<(), HelixError> {
             options.socket.display()
         ))
     })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| HelixError::io(format!("cannot configure socket: {e}")))?;
     // Fail fast if the journal directory is unusable.
     Journal::open(&options.journal)?;
     let shared = Shared {
+        socket: options.socket.clone(),
         journal: options.journal.clone(),
         workers: options.workers.max(1),
         shutdown: AtomicBool::new(false),
+        connections: AtomicUsize::new(0),
         counters: Mutex::new(Counters::default()),
         permits: Mutex::new(options.workers.max(1)),
         permits_cv: Condvar::new(),
@@ -144,19 +170,33 @@ pub fn serve(options: &ServeOptions) -> Result<(), HelixError> {
     );
     let shared = &shared;
     std::thread::scope(|scope| {
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    scope.spawn(move || handle_connection(stream, shared));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
+        for stream in listener.incoming() {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                // The wake connection, or a client that lost the race
+                // with shutdown: dropped unanswered.
+                break;
+            }
+            let stream = match stream {
+                Ok(stream) => stream,
                 Err(e) => {
+                    // Back off so a persistent error (say, out of file
+                    // descriptors) cannot spin the loop.
                     eprintln!("helix serve: accept error: {e}");
                     std::thread::sleep(Duration::from_millis(25));
+                    continue;
                 }
+            };
+            // Only this loop increments, so the count cannot pass the cap.
+            let open = shared.connections.load(Ordering::SeqCst);
+            if open >= MAX_CONNECTIONS {
+                refuse_busy(stream, open);
+                continue;
             }
+            shared.connections.fetch_add(1, Ordering::SeqCst);
+            scope.spawn(move || {
+                handle_connection(stream, shared);
+                shared.connections.fetch_sub(1, Ordering::SeqCst);
+            });
         }
         // Scope exit joins connection threads: in-flight work drains.
     });
@@ -165,12 +205,42 @@ pub fn serve(options: &ServeOptions) -> Result<(), HelixError> {
     Ok(())
 }
 
+/// Answer a connection over the cap with one `E_IO` line and close it.
+/// The write goes to a fresh socket's empty buffer, so it cannot block
+/// the accept loop.
+fn refuse_busy(mut stream: UnixStream, open: usize) {
+    let e = HelixError::io(format!("server busy: {open} connections open"));
+    let wire = api::encode_response(&Response::Error(e));
+    let _ = stream.write_all(format!("{wire}\n").as_bytes());
+}
+
+impl Shared {
+    /// Set the shutdown flag and wake the accept loop blocked in
+    /// `accept` by connecting to the server's own socket. Only the
+    /// first call wakes it.
+    fn begin_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = UnixStream::connect(&self.socket) {
+            eprintln!(
+                "helix serve: cannot wake the accept loop through '{}' ({e}); \
+                 it stops at the next connection",
+                self.socket.display()
+            );
+        }
+    }
+}
+
 /// One connection: read request lines, answer each with one response
 /// line. Decode failures produce a typed error response and the loop
 /// continues — a bad client never takes the server down.
 fn handle_connection(stream: UnixStream, shared: &Shared) {
     // A finite read timeout lets an idle connection notice shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -225,14 +295,7 @@ fn handle_connection(stream: UnixStream, shared: &Shared) {
             .write_all(wire.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush());
-        if sent.is_err() {
-            return;
-        }
-        if matches!(response, Response::ShuttingDown) {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            return;
-        }
-        if !complete_line {
+        if sent.is_err() || matches!(response, Response::ShuttingDown) || !complete_line {
             return;
         }
     }
@@ -291,7 +354,10 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 simulated: c.simulated,
             })
         }
-        Request::Shutdown => Response::ShuttingDown,
+        Request::Shutdown => {
+            shared.begin_shutdown();
+            Response::ShuttingDown
+        }
         Request::Diff { .. } => api::execute(request),
         // Explore is deterministic but simulation-heavy: gate it on a
         // worker permit like Check (no journal — the report embeds its
@@ -391,16 +457,20 @@ pub fn submit(socket: &Path, request: &Request) -> Result<Response, HelixError> 
             socket.display()
         ))
     })?;
-    stream
+    let sent = stream
         .write_all(line.as_bytes())
         .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .map_err(|e| HelixError::io(format!("cannot send request: {e}")))?;
+        .and_then(|()| stream.flush());
+    // A server at its connection cap answers "server busy" and closes
+    // without reading, so the send can fail after the answer arrived:
+    // read it either way, and report the send error only without one.
     let mut reader = BufReader::new(stream);
     let mut response_line = String::new();
-    reader
-        .read_line(&mut response_line)
-        .map_err(|e| HelixError::io(format!("cannot read response: {e}")))?;
+    let read = reader.read_line(&mut response_line);
+    if let (Err(e), "") = (sent, response_line.as_str()) {
+        return Err(HelixError::io(format!("cannot send request: {e}")));
+    }
+    read.map_err(|e| HelixError::io(format!("cannot read response: {e}")))?;
     if response_line.is_empty() {
         return Err(HelixError::protocol(
             "server closed the connection without answering",
@@ -464,14 +534,34 @@ mod tests {
         handle.join().unwrap();
         assert!(!socket.exists(), "socket removed on shutdown");
 
-        // A stale socket file (crashed server) is replaced on restart.
-        std::fs::write(&socket, b"").unwrap();
+        // A stale socket (bound by a server that crashed before removing
+        // it) is replaced on restart.
+        drop(UnixListener::bind(&socket).unwrap());
+        assert!(std::fs::symlink_metadata(&socket)
+            .unwrap()
+            .file_type()
+            .is_socket());
         let handle = start(&options);
         assert!(matches!(
             submit(&socket, &Request::Shutdown).unwrap(),
             Response::ShuttingDown
         ));
         handle.join().unwrap();
+
+        // Any other file at the socket path is refused and left intact.
+        // The deadline turns a server that took the path over into a
+        // failure instead of a hang.
+        std::fs::write(&socket, b"notes").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let refused_options = options.clone();
+        std::thread::spawn(move || tx.send(serve(&refused_options)).unwrap());
+        let err = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve must refuse a regular file, not listen on it")
+            .unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Usage);
+        assert!(err.message.contains("not a socket"), "{}", err.message);
+        assert_eq!(std::fs::read(&socket).unwrap(), b"notes");
     }
 
     #[test]

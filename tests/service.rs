@@ -4,7 +4,9 @@
 //! execute once, malformed requests must get typed error responses
 //! without taking the server down, reports must carry the schema
 //! version stamp that `helix diff` names on mismatch, and the runner
-//! entry points must agree with the `api::execute` path over them.
+//! entry points must agree with the `api::execute` path over them. A
+//! client that never reads must not hold up `Shutdown`, and connections
+//! over the cap must get a typed "server busy" answer.
 
 use helix_rc::api::{
     self, diff_reports, CampaignSource, Request, Response, RunOptions, SpecSource,
@@ -13,13 +15,15 @@ use helix_rc::campaign::run_campaign;
 use helix_rc::experiment::ExperimentOptions;
 use helix_rc::report::SCHEMA_VERSION;
 use helix_rc::scenario::run_scenario;
-use helix_rc::service::{serve, submit, ServeOptions, MAX_REQUEST_LINE};
+use helix_rc::service::{
+    serve, submit, ServeOptions, MAX_CONNECTIONS, MAX_REQUEST_LINE, WRITE_TIMEOUT,
+};
 use helix_rc::workloads::{builtin_spec, campaign_from_inline};
 use helix_rc::{ErrorKind, HelixError};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small two-cell campaign, carried inline so the service tests
 /// exercise exactly the payload shape `helix submit` sends.
@@ -260,6 +264,96 @@ fn overlong_request_line_is_rejected_and_server_stays_up() {
         other => panic!("expected Status, got {other:?}"),
     }
 
+    shutdown_service(&socket, handle);
+}
+
+/// A client that pipelines requests and never reads its answers fills
+/// the socket buffer, blocking the server's write to it. `Shutdown` from
+/// another client must still end `serve` within the write timeout, with
+/// the slow client still connected and no further client connecting.
+#[test]
+fn shutdown_returns_while_a_client_never_reads() {
+    let (socket, handle) = start_service("slow-client", 1);
+
+    let mut slow = UnixStream::connect(&socket).expect("connect");
+    // Far more answers than a socket buffer holds. Once the server stops
+    // reading, this send may stall too; the timeout ends it.
+    slow.set_write_timeout(Some(Duration::from_secs(5)))
+        .expect("client write timeout");
+    let status = api::encode_request(&Request::Status).expect("encodable");
+    let _ = slow.write_all(format!("{status}\n").repeat(4000).as_bytes());
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(handle.join().is_ok()));
+    assert!(matches!(
+        submit(&socket, &Request::Shutdown).expect("shutdown submits"),
+        Response::ShuttingDown
+    ));
+    let deadline = WRITE_TIMEOUT + Duration::from_secs(10);
+    match done_rx.recv_timeout(deadline) {
+        Ok(joined) => assert!(joined, "service thread panicked"),
+        Err(_) => panic!("serve still running {deadline:?} after Shutdown"),
+    }
+    assert!(!socket.exists(), "socket removed on shutdown");
+    drop(slow);
+    let _ = std::fs::remove_dir_all(socket.parent().unwrap());
+}
+
+/// With `MAX_CONNECTIONS` idle connections held open, the next client
+/// gets one typed `E_IO` "server busy" answer instead of a thread; once
+/// a held connection closes, requests are served again.
+#[test]
+fn connections_over_the_cap_are_refused_with_a_typed_error() {
+    let (socket, handle) = start_service("cap", 1);
+
+    let status = api::encode_request(&Request::Status).expect("encodable");
+    let mut held: Vec<BufReader<UnixStream>> = (0..MAX_CONNECTIONS)
+        .map(|i| {
+            let mut stream = UnixStream::connect(&socket).expect("connect");
+            stream
+                .write_all(format!("{status}\n").as_bytes())
+                .expect("send");
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("status answer");
+            assert!(
+                matches!(
+                    api::decode_response(line.trim_end()),
+                    Ok(Response::Status(_))
+                ),
+                "held connection {i} must be served: {line}"
+            );
+            reader
+        })
+        .collect();
+
+    match submit(&socket, &Request::Status).expect("an answer, not a dropped connection") {
+        Response::Error(e) => {
+            assert_eq!(e.kind.code(), "E_IO");
+            assert!(
+                e.message
+                    .contains(&format!("server busy: {MAX_CONNECTIONS} connections open")),
+                "{}",
+                e.message
+            );
+        }
+        other => panic!("expected a busy error, got {other:?}"),
+    }
+
+    // The slot frees when the closed connection's thread sees EOF.
+    held.pop();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match submit(&socket, &Request::Status).expect("status") {
+            Response::Status(_) => break,
+            Response::Error(e) if e.kind == ErrorKind::Io && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => panic!("expected Status once a slot is free, got {other:?}"),
+        }
+    }
+
+    drop(held);
     shutdown_service(&socket, handle);
 }
 
