@@ -1210,7 +1210,7 @@ fn derive_rows(
                     spec.scale,
                     cores,
                     fuel,
-                    Some(seq_cycles),
+                    seq_cycles,
                     CompilerGen::V3,
                 )?
                 .into_iter()

@@ -594,14 +594,7 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
     // Per-nest coverage accounting (multi-nest specs only).
     if spec.nests.len() >= 2 {
         exam.checks += 1;
-        match nest_rows(
-            spec,
-            Scale::Test,
-            cores,
-            fuel,
-            Some(seq.cycles),
-            CompilerGen::V3,
-        ) {
+        match nest_rows(spec, Scale::Test, cores, fuel, seq.cycles, CompilerGen::V3) {
             Ok(rows) => {
                 if let Err(d) = oracle_coverage_sum(&rows) {
                     fail(&mut exam, Oracle::CoverageSum, d);

@@ -11,6 +11,7 @@ use helix_hcc::{compile, CompiledProgram, HccConfig};
 use helix_sim::{simulate, simulate_sequential, Bucket, MachineConfig, RunReport};
 use helix_workloads::spec::{CompilerGen, MachineKind};
 use helix_workloads::{generate, generate_nest, generate_prefix, Scale, ScenarioSpec};
+use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -25,7 +26,9 @@ pub struct RunRow {
     pub dyn_insts: u64,
     /// Digest of final memory contents.
     pub mem_digest: u64,
-    /// Wall-clock seconds for the simulation.
+    /// Wall-clock seconds of this row's own simulation job. A
+    /// scenario's jobs run in parallel, so the times of its rows may
+    /// overlap and need not sum to the scenario's wall time.
     pub wall_secs: f64,
     /// Speedup versus the sequential baseline at the same core count,
     /// when one was simulated.
@@ -250,33 +253,6 @@ fn bucket_totals(report: &RunReport) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn timed_run(
-    program: &helix_ir::Program,
-    compiled: &CompiledProgram,
-    machine: MachineKind,
-    cores: usize,
-    fuel: u64,
-    what: &str,
-) -> Result<(RunReport, f64), ExpError> {
-    let t0 = Instant::now();
-    let report = match machine {
-        MachineKind::Sequential => {
-            simulate_sequential(program, &MachineConfig::conventional(cores), fuel)?
-        }
-        MachineKind::Conventional => {
-            let rep = simulate(compiled, &MachineConfig::conventional(cores), fuel)?;
-            check(&rep, what)?;
-            rep
-        }
-        MachineKind::HelixRc => {
-            let rep = simulate(compiled, &MachineConfig::helix_rc(cores), fuel)?;
-            check(&rep, what)?;
-            rep
-        }
-    };
-    Ok((report, t0.elapsed().as_secs_f64()))
-}
-
 /// The ring cache needs a power-of-two node count, so every core count
 /// the run builds a HELIX-RC machine at must be one: the main count
 /// when a `helix-rc` machine or the per-nest rows use it, and each
@@ -308,9 +284,359 @@ fn check_helix_cores(spec: &ScenarioSpec, cores: usize, overridden: bool) -> Res
     Ok(())
 }
 
+/// One independent simulation of a scenario run. No job reads another's
+/// result, so [`Plan::run`] runs a scenario's jobs in parallel.
+enum Job<'a> {
+    /// The scenario program on `machine` at `cores`. The conventional
+    /// and HELIX-RC machines run `compiled`, or compile at `cores` when
+    /// it is `None` (a sweep point).
+    Scenario {
+        program: &'a helix_ir::Program,
+        compiled: Option<&'a CompiledProgram>,
+        machine: MachineKind,
+        cores: usize,
+    },
+    /// The sequential prefix program of nests `0..nests`, with the next
+    /// nest's glue when `glue` is set.
+    Prefix {
+        nests: usize,
+        glue: bool,
+        cores: usize,
+    },
+    /// Nest `ix` in isolation, on `machine` (sequential or HELIX-RC).
+    Nest {
+        ix: usize,
+        machine: MachineKind,
+        cores: usize,
+    },
+}
+
+/// What one [`Job`] measured.
+#[derive(Clone)]
+struct Outcome {
+    /// Coverage and plan count of the job's own compile, if it made one.
+    compiled: Option<(f64, usize)>,
+    /// The simulation report and its wall-clock seconds. A failure
+    /// here is kept apart from a failure to generate or compile, because
+    /// in the serial order a sweep point compiles before its baseline
+    /// runs but simulates after it.
+    run: Result<(RunReport, f64), ExpError>,
+}
+
+/// The outcomes of a job list, indexed like the list. Rows are
+/// assembled by walking it in the serial order with `?`, so the error
+/// returned is the one a serial run would have stopped at.
+#[derive(Clone)]
+struct Done(Vec<Result<Outcome, ExpError>>);
+
+impl Done {
+    /// Job `ix` up to its simulation: generating and compiling.
+    fn job(&self, ix: usize) -> Result<&Outcome, ExpError> {
+        self.0[ix].as_ref().map_err(Clone::clone)
+    }
+
+    /// Job `ix`'s simulation report and wall-clock seconds.
+    fn sim(&self, ix: usize) -> Result<&(RunReport, f64), ExpError> {
+        self.job(ix)?.run.as_ref().map_err(Clone::clone)
+    }
+
+    fn cycles(&self, ix: usize) -> Result<u64, ExpError> {
+        Ok(self.sim(ix)?.0.cycles)
+    }
+}
+
+/// Job indices of one nest's measurements (see [`NestRow`]).
+struct NestJobs {
+    /// The prefix through this nest's glue, when there is glue.
+    after_glue: Option<usize>,
+    /// The prefix through this nest, except for the last nest, whose
+    /// prefix is the whole program.
+    after_nest: Option<usize>,
+    seq: usize,
+    helix: usize,
+}
+
+/// A scenario's independent jobs, built in the serial order.
+struct Plan<'a> {
+    spec: &'a ScenarioSpec,
+    scale: Scale,
+    fuel: u64,
+    compiler: CompilerGen,
+    jobs: Vec<Job<'a>>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(spec: &'a ScenarioSpec, scale: Scale, fuel: u64, compiler: CompilerGen) -> Plan<'a> {
+        Plan {
+            spec,
+            scale,
+            fuel,
+            compiler,
+            jobs: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, job: Job<'a>) -> usize {
+        self.jobs.push(job);
+        self.jobs.len() - 1
+    }
+
+    /// The scenario program's sequential run at `cores`, pushed once
+    /// and shared by the main rows, the sweep baselines and the nest
+    /// weights.
+    fn sequential(&mut self, program: &'a helix_ir::Program, cores: usize) -> usize {
+        let pushed = self.jobs.iter().position(|job| {
+            matches!(job, Job::Scenario { machine: MachineKind::Sequential, cores: c, .. } if *c == cores)
+        });
+        pushed.unwrap_or_else(|| {
+            self.push(Job::Scenario {
+                program,
+                compiled: None,
+                machine: MachineKind::Sequential,
+                cores,
+            })
+        })
+    }
+
+    /// Every nest's jobs, at `cores`.
+    fn push_nests(&mut self, cores: usize) -> Vec<NestJobs> {
+        let n = self.scale.n(self.spec.base_n);
+        let last = self.spec.nests.len().saturating_sub(1);
+        let mut nests = Vec::new();
+        for (ix, nest) in self.spec.nests.iter().enumerate() {
+            let has_glue = nest.glue.eval(n) > 0 || nest.import.is_some();
+            let prefix = |nests, glue| Job::Prefix { nests, glue, cores };
+            let nest = |machine| Job::Nest { ix, machine, cores };
+            nests.push(NestJobs {
+                after_glue: has_glue.then(|| self.push(prefix(ix, true))),
+                after_nest: (ix != last).then(|| self.push(prefix(ix + 1, false))),
+                seq: self.push(nest(MachineKind::Sequential)),
+                helix: self.push(nest(MachineKind::HelixRc)),
+            });
+        }
+        nests
+    }
+
+    /// Run every job with one `par_iter`, HELIX-RC runs (the longest)
+    /// first.
+    fn run(&self) -> Done {
+        let is_helix = |job: &Job| match job {
+            Job::Scenario { machine, .. } | Job::Nest { machine, .. } => {
+                *machine == MachineKind::HelixRc
+            }
+            Job::Prefix { .. } => false,
+        };
+        let mut order: Vec<usize> = (0..self.jobs.len()).collect();
+        order.sort_by_key(|&ix| !is_helix(&self.jobs[ix]));
+        let mut done: Vec<(usize, Result<Outcome, ExpError>)> = order
+            .par_iter()
+            .map(|&ix| (ix, self.run_job(&self.jobs[ix])))
+            .collect();
+        done.sort_by_key(|&(ix, _)| ix);
+        Done(done.into_iter().map(|(_, outcome)| outcome).collect())
+    }
+
+    fn run_job(&self, job: &Job) -> Result<Outcome, ExpError> {
+        match *job {
+            Job::Scenario {
+                program,
+                compiled,
+                machine,
+                cores,
+            } => self.simulate(
+                program,
+                compiled,
+                machine,
+                cores,
+                &machine_label(machine, cores),
+            ),
+            Job::Prefix { nests, glue, cores } => {
+                let program = generate_prefix(self.spec, self.scale, nests, glue)?;
+                self.simulate(&program, None, MachineKind::Sequential, cores, "")
+            }
+            Job::Nest { ix, machine, cores } => {
+                let program = generate_nest(self.spec, self.scale, ix)?;
+                let what = format!("{}::{}", self.spec.name, self.spec.nests[ix].name);
+                self.simulate(&program, None, machine, cores, &what)
+            }
+        }
+    }
+
+    /// Simulate `program` on `machine`. A conventional or HELIX-RC
+    /// machine runs `compiled`, or compiles `program` at `cores` first;
+    /// its report must pass [`check`] under the name `what`.
+    fn simulate(
+        &self,
+        program: &helix_ir::Program,
+        compiled: Option<&CompiledProgram>,
+        machine: MachineKind,
+        cores: usize,
+        what: &str,
+    ) -> Result<Outcome, ExpError> {
+        let own;
+        let compiled = match (machine, compiled) {
+            (MachineKind::Sequential, _) => None,
+            (_, Some(compiled)) => Some(compiled),
+            (_, None) => {
+                own = compile(program, &hcc_config(self.compiler, cores as u32))?;
+                Some(&own)
+            }
+        };
+        let config = match machine {
+            MachineKind::HelixRc => MachineConfig::helix_rc(cores),
+            _ => MachineConfig::conventional(cores),
+        };
+        let t0 = Instant::now();
+        let report = match compiled {
+            None => simulate_sequential(program, &config, self.fuel).map_err(ExpError::from),
+            Some(compiled) => simulate(compiled, &config, self.fuel)
+                .map_err(ExpError::from)
+                .and_then(|report| check(&report, what).map(|()| report)),
+        };
+        Ok(Outcome {
+            compiled: compiled.map(|c| (c.stats.coverage, c.plans.len())),
+            run: report.map(|report| (report, t0.elapsed().as_secs_f64())),
+        })
+    }
+}
+
+/// A report's main, sweep and nest rows.
+type ReportRows = (Vec<RunRow>, Vec<RunRow>, Vec<NestRow>);
+
+/// Job indices of a scenario's rows.
+struct ScenarioJobs {
+    /// One per `run.machines` entry.
+    machines: Vec<usize>,
+    /// Per `run.sweep_cores` point: its core count, sequential baseline
+    /// and HELIX-RC run.
+    sweep: Vec<(usize, usize, usize)>,
+    /// The whole program's sequential run, when there are nests to
+    /// weigh against it.
+    whole: Option<usize>,
+    nests: Vec<NestJobs>,
+}
+
+impl ScenarioJobs {
+    /// Push every job of a scenario run at `cores` onto `plan`.
+    fn push<'a>(
+        plan: &mut Plan<'a>,
+        program: &'a helix_ir::Program,
+        compiled: &'a CompiledProgram,
+        cores: usize,
+    ) -> ScenarioJobs {
+        let spec = plan.spec;
+        let machines = spec
+            .run
+            .machines
+            .iter()
+            .map(|&machine| match machine {
+                MachineKind::Sequential => plan.sequential(program, cores),
+                _ => plan.push(Job::Scenario {
+                    program,
+                    compiled: Some(compiled),
+                    machine,
+                    cores,
+                }),
+            })
+            .collect();
+        let sweep = spec
+            .run
+            .sweep_cores
+            .iter()
+            .map(|&c| {
+                let c = c as usize;
+                let seq = plan.sequential(program, c);
+                let helix = plan.push(Job::Scenario {
+                    program,
+                    compiled: None,
+                    machine: MachineKind::HelixRc,
+                    cores: c,
+                });
+                (c, seq, helix)
+            })
+            .collect();
+        ScenarioJobs {
+            machines,
+            sweep,
+            whole: (!spec.nests.is_empty()).then(|| plan.sequential(program, cores)),
+            nests: plan.push_nests(cores),
+        }
+    }
+
+    /// The report's main, sweep and nest rows, assembled in the serial
+    /// order: machines in spec order, then each sweep point (compile,
+    /// baseline, run), then the nests.
+    fn rows(
+        &self,
+        spec: &ScenarioSpec,
+        cores: usize,
+        done: &Done,
+        attribution: bool,
+    ) -> Result<ReportRows, ExpError> {
+        let mut runs = Vec::new();
+        for (&machine, &ix) in spec.run.machines.iter().zip(&self.machines) {
+            let label = machine_label(machine, cores);
+            runs.push(run_row(label, done.sim(ix)?, None, attribution));
+        }
+        // Speedups are filled in afterwards so they do not depend on
+        // where "sequential" appears in the spec's machine list.
+        if let Some(seq) = spec
+            .run
+            .machines
+            .iter()
+            .position(|&m| m == MachineKind::Sequential)
+        {
+            let seq = runs[seq].cycles;
+            for row in &mut runs {
+                row.speedup_vs_sequential = Some(seq as f64 / row.cycles.max(1) as f64);
+            }
+        }
+
+        let mut sweep = Vec::new();
+        for &(c, seq, helix) in &self.sweep {
+            done.job(helix)?;
+            let seq = done.cycles(seq)?;
+            let run = done.sim(helix)?;
+            let speedup = seq as f64 / run.0.cycles.max(1) as f64;
+            let label = machine_label(MachineKind::HelixRc, c);
+            sweep.push(run_row(label, run, Some(speedup), attribution));
+        }
+
+        let nests = match self.whole {
+            Some(whole) => nest_table(spec, &self.nests, done, done.cycles(whole)?)?,
+            None => Vec::new(),
+        };
+        Ok((runs, sweep, nests))
+    }
+}
+
+/// One report row from a simulation.
+fn run_row(
+    config: String,
+    (report, wall_secs): &(RunReport, f64),
+    speedup_vs_sequential: Option<f64>,
+    attribution: bool,
+) -> RunRow {
+    RunRow {
+        config,
+        cycles: report.cycles,
+        dyn_insts: report.dyn_insts,
+        mem_digest: report.mem_digest,
+        wall_secs: *wall_secs,
+        speedup_vs_sequential,
+        attribution: attribution.then(|| bucket_totals(report)),
+    }
+}
+
 /// Run one scenario end-to-end: generate the program, compile it with
 /// the spec's compiler generation, simulate every requested machine
-/// (plus the optional core-count sweep), and collect a report.
+/// (plus the optional core-count sweep and the per-nest rows), and
+/// collect a report.
+///
+/// The simulations are independent jobs that run in parallel; rows are
+/// assembled in spec order afterwards, and the error returned is the
+/// one the serial order meets first: machines in spec order, then the
+/// sweep, then the nests.
 ///
 /// Of `options` it reads the scale (default `Test`), the `cores` and
 /// `fuel` overrides of the spec's `[run]` section, and `attribution`;
@@ -323,77 +649,9 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<Scenari
     let fuel = options.fuel.unwrap_or(spec.run.fuel);
     let compiled = compile(&program, &hcc_config(spec.run.compiler, cores as u32))?;
 
-    let mut runs = Vec::new();
-    let mut seq_cycles: Option<u64> = None;
-    // Sequential baselines are memoized per core count: the sweep below
-    // re-baselines only when the machine description actually differs.
-    let mut seq_by_cores: std::collections::BTreeMap<usize, u64> =
-        std::collections::BTreeMap::new();
-    for &machine in &spec.run.machines {
-        let label = machine_label(machine, cores);
-        let (report, wall_secs) = timed_run(&program, &compiled, machine, cores, fuel, &label)?;
-        if machine == MachineKind::Sequential {
-            seq_cycles = Some(report.cycles);
-            seq_by_cores.insert(cores, report.cycles);
-        }
-        runs.push(RunRow {
-            config: label,
-            cycles: report.cycles,
-            dyn_insts: report.dyn_insts,
-            mem_digest: report.mem_digest,
-            wall_secs,
-            speedup_vs_sequential: None,
-            attribution: options.attribution.then(|| bucket_totals(&report)),
-        });
-    }
-    // Speedups are filled in after the loop so they do not depend on
-    // where "sequential" appears in the spec's machine list.
-    if let Some(seq) = seq_cycles {
-        for row in &mut runs {
-            row.speedup_vs_sequential = Some(seq as f64 / row.cycles.max(1) as f64);
-        }
-    }
-
-    let mut sweep = Vec::new();
-    for &sweep_cores in &spec.run.sweep_cores {
-        let sweep_cores = sweep_cores as usize;
-        let compiled = compile(&program, &hcc_config(spec.run.compiler, sweep_cores as u32))?;
-        let seq_cycles = match seq_by_cores.get(&sweep_cores) {
-            Some(&cycles) => cycles,
-            None => {
-                let (seq, _) = timed_run(
-                    &program,
-                    &compiled,
-                    MachineKind::Sequential,
-                    sweep_cores,
-                    fuel,
-                    "sweep baseline",
-                )?;
-                seq_by_cores.insert(sweep_cores, seq.cycles);
-                seq.cycles
-            }
-        };
-        let label = machine_label(MachineKind::HelixRc, sweep_cores);
-        let (report, wall_secs) = timed_run(
-            &program,
-            &compiled,
-            MachineKind::HelixRc,
-            sweep_cores,
-            fuel,
-            &label,
-        )?;
-        sweep.push(RunRow {
-            config: label,
-            cycles: report.cycles,
-            dyn_insts: report.dyn_insts,
-            mem_digest: report.mem_digest,
-            wall_secs,
-            speedup_vs_sequential: Some(seq_cycles as f64 / report.cycles.max(1) as f64),
-            attribution: options.attribution.then(|| bucket_totals(&report)),
-        });
-    }
-
-    let nests = nest_rows(spec, scale, cores, fuel, seq_cycles, spec.run.compiler)?;
+    let mut plan = Plan::new(spec, scale, fuel, spec.run.compiler);
+    let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, cores);
+    let (runs, sweep, nests) = jobs.rows(spec, cores, &plan.run(), options.attribution)?;
 
     Ok(ScenarioReport {
         scenario: spec.name.clone(),
@@ -412,71 +670,66 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<Scenari
 /// Per-nest breakdown of a multi-nest scenario (see [`NestRow`] for the
 /// measurement semantics).
 ///
-/// `whole_seq_cycles` is the composed program's sequential cycle count
-/// when the main runs already measured it; otherwise one extra
-/// sequential simulation provides the weight denominator. The composed
-/// program *is* the last prefix program, so in-context differencing
-/// needs `nests - 1` extra prefix simulations plus one per non-empty
-/// glue stretch. `compiler` selects the generation the isolated nests
-/// are compiled with — callers must pass whatever generation their
-/// headline numbers use, or the per-nest coverage/speedup columns
-/// would silently mix compilers.
+/// The simulations run in parallel as one job list: the prefix cuts,
+/// and each isolated nest on the sequential machine and compiled for
+/// HELIX-RC. The in-context weights are then differenced from the
+/// returned cycle counts. `whole_seq` is the composed program's
+/// sequential cycle count, which the caller has already measured; the
+/// composed program *is* the last prefix program, so differencing needs
+/// `nests - 1` prefix simulations plus one per non-empty glue stretch.
+/// `compiler` selects the generation the isolated nests are compiled
+/// with — callers must pass whatever generation their headline numbers
+/// use, or the per-nest coverage/speedup columns would silently mix
+/// compilers.
 pub(crate) fn nest_rows(
     spec: &ScenarioSpec,
     scale: Scale,
     cores: usize,
     fuel: u64,
-    whole_seq_cycles: Option<u64>,
+    whole_seq: u64,
     compiler: CompilerGen,
 ) -> Result<Vec<NestRow>, ExpError> {
-    if spec.nests.is_empty() {
-        return Ok(Vec::new());
-    }
-    let seq_machine = MachineConfig::conventional(cores);
-    let seq_cycles_of = |program: &helix_ir::Program| -> Result<u64, ExpError> {
-        Ok(simulate_sequential(program, &seq_machine, fuel)?.cycles)
-    };
-    let whole_seq = match whole_seq_cycles {
-        Some(cycles) => cycles,
-        None => seq_cycles_of(&generate(spec, scale)?)?,
-    };
+    let mut plan = Plan::new(spec, scale, fuel, compiler);
+    let jobs = plan.push_nests(cores);
+    nest_table(spec, &jobs, &plan.run(), whole_seq)
+}
 
-    let last = spec.nests.len() - 1;
-    let n = scale.n(spec.base_n);
+/// The differencing step of [`nest_rows`]: one row per nest from its
+/// jobs' outcomes, walked in the serial order.
+fn nest_table(
+    spec: &ScenarioSpec,
+    jobs: &[NestJobs],
+    done: &Done,
+    whole_seq: u64,
+) -> Result<Vec<NestRow>, ExpError> {
+    let frac = |cycles: u64| cycles as f64 / whole_seq.max(1) as f64;
     let mut rows = Vec::new();
-    // Cycle count of the prefix ending before nest `ix`'s glue.
+    // Cycle count of the prefix ending before the current nest's glue.
     let mut prev_cut = 0u64;
-    for (ix, nest) in spec.nests.iter().enumerate() {
-        // In-context costs by prefix differencing.
-        let after_glue = if nest.glue.eval(n) > 0 || nest.import.is_some() {
-            seq_cycles_of(&generate_prefix(spec, scale, ix, true)?)?
-        } else {
-            prev_cut
+    for (nest, jobs) in spec.nests.iter().zip(jobs) {
+        let after_glue = match jobs.after_glue {
+            Some(ix) => done.cycles(ix)?,
+            None => prev_cut,
         };
-        let after_nest = if ix == last {
-            whole_seq
-        } else {
-            seq_cycles_of(&generate_prefix(spec, scale, ix + 1, false)?)?
+        let after_nest = match jobs.after_nest {
+            Some(ix) => done.cycles(ix)?,
+            None => whole_seq,
         };
-        let frac = |cycles: u64| cycles as f64 / whole_seq.max(1) as f64;
-
-        // Isolated-nest parallelization measurement.
-        let program = generate_nest(spec, scale, ix)?;
-        let seq = simulate_sequential(&program, &seq_machine, fuel)?;
-        let compiled = compile(&program, &hcc_config(compiler, cores as u32))?;
-        let what = format!("{}::{}", spec.name, nest.name);
-        let helix = simulate(&compiled, &MachineConfig::helix_rc(cores), fuel)?;
-        check(&helix, &what)?;
-
+        let seq = done.cycles(jobs.seq)?;
+        let (coverage, plans) = done
+            .job(jobs.helix)?
+            .compiled
+            .expect("a HELIX-RC job compiles");
+        let helix = done.cycles(jobs.helix)?;
         rows.push(NestRow {
             name: nest.name.clone(),
             weight: frac(after_nest.saturating_sub(after_glue)),
             glue_weight: frac(after_glue.saturating_sub(prev_cut)),
-            coverage: compiled.stats.coverage,
-            plans: compiled.plans.len(),
-            seq_cycles: seq.cycles,
-            helix_cycles: helix.cycles,
-            speedup: seq.cycles as f64 / helix.cycles.max(1) as f64,
+            coverage,
+            plans,
+            seq_cycles: seq,
+            helix_cycles: helix,
+            speedup: seq as f64 / helix.max(1) as f64,
         });
         prev_cut = after_nest;
     }
@@ -525,6 +778,52 @@ mod tests {
         let a = run_scenario(&spec, &RunOptions::new()).unwrap();
         let b = run_scenario(&spec, &RunOptions::new()).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Fail every step from the `k`-th of the serial order on, each
+    /// with its own message: the rows must stop at step `k`, whatever
+    /// order the jobs ran in.
+    #[test]
+    fn errors_surface_in_the_serial_order() {
+        let mut spec = builtin_spec("970.pipeline").unwrap();
+        spec.run.machines = vec![MachineKind::HelixRc, MachineKind::Conventional];
+        spec.run.sweep_cores = vec![4, 8];
+        let program = generate(&spec, Scale::Test).unwrap();
+        let compiled = compile(&program, &hcc_config(CompilerGen::V3, 16)).unwrap();
+        let mut plan = Plan::new(&spec, Scale::Test, spec.run.fuel, CompilerGen::V3);
+        let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, 16);
+        let ok = plan.run();
+        assert!(jobs.rows(&spec, 16, &ok, false).is_ok());
+
+        // `(job, true)` fails before the simulation, `(job, false)` in it.
+        let mut steps: Vec<(usize, bool)> = jobs.machines.iter().map(|&ix| (ix, false)).collect();
+        for &(_, seq, helix) in &jobs.sweep {
+            steps.extend([(helix, true), (seq, false), (helix, false)]);
+        }
+        steps.push((jobs.whole.unwrap(), false));
+        for nest in &jobs.nests {
+            let prefixes = nest.after_glue.into_iter().chain(nest.after_nest);
+            for ix in prefixes.chain([nest.seq, nest.helix]) {
+                steps.extend([(ix, true), (ix, false)]);
+            }
+        }
+        // Two machines, two sweep points, the whole program, and per
+        // step pair four prefix cuts and two isolated runs per nest.
+        assert_eq!(steps.len(), 2 + 2 * 3 + 1 + 2 * (4 + 3 * 2));
+
+        let fail = |k: usize| HelixError::new(ErrorKind::Internal, format!("step {k}"));
+        for k in 0..steps.len() {
+            let mut done = ok.clone();
+            for (at, &(ix, before)) in steps.iter().enumerate().skip(k).rev() {
+                match &mut done.0[ix] {
+                    slot if before => *slot = Err(fail(at)),
+                    Ok(outcome) => outcome.run = Err(fail(at)),
+                    Err(_) => {}
+                }
+            }
+            let err = jobs.rows(&spec, 16, &done, false).unwrap_err();
+            assert_eq!(err.message, fail(k).message, "{:?}", steps[k]);
+        }
     }
 
     #[test]

@@ -9,17 +9,24 @@ use crate::config::{CacheConfig, MachineConfig};
 use crate::dram::Dram;
 use serde::{Deserialize, Serialize};
 
+/// Sets per tag block of a [`TimingCache`].
+const BLOCK_SETS: usize = 64;
+
+/// `BLOCK_SETS * assoc` slots of `(line addr + 1, lru)`; 0 = free.
+type TagBlock = Box<[(u64, u64)]>;
+
 /// Tag-only set-associative timing cache with LRU replacement.
 ///
-/// Slots are one flat `(line + 1, lru)` array — `assoc` entries per
-/// set, allocated once and reused for the whole run, so probes and
-/// fills are short scans of contiguous memory with no per-set vectors
-/// to grow. Tags are stored biased by one so the empty sentinel is
-/// zero and the multi-megabyte L2 array starts as untouched zero pages
-/// instead of a written-out sentinel pattern.
+/// Slots are `(line + 1, lru)` pairs, `assoc` per set, kept in blocks
+/// of `BLOCK_SETS` (64) contiguous sets, so probes and fills are short
+/// scans of contiguous memory. A block is allocated by the first insert
+/// into one of its sets. A probe or an invalidation that lands in an
+/// unallocated block is a miss or a no-op and allocates nothing, so a
+/// run holds tag storage only for the sets it fills. Tags are stored
+/// biased by one so the empty sentinel is zero.
 #[derive(Debug, Clone)]
 pub struct TimingCache {
-    slots: Vec<(u64, u64)>, // (line addr + 1, lru); 0 = free
+    blocks: Vec<Option<TagBlock>>,
     n_sets: usize,
     assoc: usize,
     line: u64,
@@ -38,7 +45,7 @@ impl TimingCache {
         let lines = (cfg.size / cfg.line).max(1) as usize;
         let n_sets = (lines / cfg.assoc).max(1);
         TimingCache {
-            slots: vec![(0, 0); n_sets * cfg.assoc],
+            blocks: vec![None; n_sets.div_ceil(BLOCK_SETS)],
             n_sets,
             assoc: cfg.assoc,
             line: cfg.line,
@@ -59,12 +66,29 @@ impl TimingCache {
         }
     }
 
-    fn set_slots(&mut self, line: u64) -> &mut [(u64, u64)] {
-        let set = match self.set_mask {
+    fn set_of(&self, line: u64) -> usize {
+        match self.set_mask {
             Some(mask) => (line as usize) & mask,
             None => (line as usize) % self.n_sets,
-        };
-        &mut self.slots[set * self.assoc..(set + 1) * self.assoc]
+        }
+    }
+
+    /// The slots of `line`'s set, or `None` while its block is
+    /// unallocated (every slot free).
+    fn set_slots(&mut self, line: u64) -> Option<&mut [(u64, u64)]> {
+        let set = self.set_of(line);
+        let at = (set % BLOCK_SETS) * self.assoc;
+        let block = self.blocks[set / BLOCK_SETS].as_deref_mut()?;
+        Some(&mut block[at..at + self.assoc])
+    }
+
+    /// The slots of `line`'s set, allocating its block on first use.
+    fn set_slots_filled(&mut self, line: u64) -> &mut [(u64, u64)] {
+        let set = self.set_of(line);
+        let (assoc, at) = (self.assoc, (set % BLOCK_SETS) * self.assoc);
+        let block = self.blocks[set / BLOCK_SETS]
+            .get_or_insert_with(|| vec![(0, 0); BLOCK_SETS * assoc].into_boxed_slice());
+        &mut block[at..at + assoc]
     }
 
     /// Probe for the line holding `addr`; refreshes LRU on hit.
@@ -72,11 +96,15 @@ impl TimingCache {
         let tag = self.line_of(addr) + 1;
         self.clock += 1;
         let clock = self.clock;
-        if let Some(e) = self.set_slots(tag - 1).iter_mut().find(|(l, _)| *l == tag) {
-            e.1 = clock;
-            true
-        } else {
-            false
+        match self
+            .set_slots(tag - 1)
+            .and_then(|slots| slots.iter_mut().find(|(l, _)| *l == tag))
+        {
+            Some(e) => {
+                e.1 = clock;
+                true
+            }
+            None => false,
         }
     }
 
@@ -88,7 +116,7 @@ impl TimingCache {
         let tag = line + 1;
         self.clock += 1;
         let clock = self.clock;
-        let slots = self.set_slots(line);
+        let slots = self.set_slots_filled(line);
         if let Some(e) = slots.iter_mut().find(|(l, _)| *l == tag) {
             e.1 = clock;
             return None;
@@ -111,7 +139,7 @@ impl TimingCache {
     /// Remove the line holding `addr` (coherence invalidation).
     pub fn remove_line(&mut self, line: u64) {
         let tag = line + 1;
-        for e in self.set_slots(line) {
+        for e in self.set_slots(line).into_iter().flatten() {
             if e.0 == tag {
                 *e = (0, 0);
             }
@@ -376,6 +404,157 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The flat tag array `TimingCache` used before tag blocks: every
+    /// set allocated up front. Kept as the reference model for the
+    /// blocked storage.
+    struct FlatCache {
+        slots: Vec<(u64, u64)>,
+        n_sets: usize,
+        assoc: usize,
+        line: u64,
+        clock: u64,
+    }
+
+    impl FlatCache {
+        fn new(cfg: &CacheConfig) -> FlatCache {
+            let lines = (cfg.size / cfg.line).max(1) as usize;
+            let n_sets = (lines / cfg.assoc).max(1);
+            FlatCache {
+                slots: vec![(0, 0); n_sets * cfg.assoc],
+                n_sets,
+                assoc: cfg.assoc,
+                line: cfg.line,
+                clock: 0,
+            }
+        }
+
+        fn set_slots(&mut self, line: u64) -> &mut [(u64, u64)] {
+            let set = (line as usize) % self.n_sets;
+            &mut self.slots[set * self.assoc..(set + 1) * self.assoc]
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            let tag = addr / self.line + 1;
+            self.clock += 1;
+            let clock = self.clock;
+            if let Some(e) = self.set_slots(tag - 1).iter_mut().find(|(l, _)| *l == tag) {
+                e.1 = clock;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn insert(&mut self, addr: u64) -> Option<u64> {
+            let line = addr / self.line;
+            let tag = line + 1;
+            self.clock += 1;
+            let clock = self.clock;
+            let slots = self.set_slots(line);
+            if let Some(e) = slots.iter_mut().find(|(l, _)| *l == tag) {
+                e.1 = clock;
+                return None;
+            }
+            if let Some(e) = slots.iter_mut().find(|(l, _)| *l == 0) {
+                *e = (tag, clock);
+                return None;
+            }
+            let idx = slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, lru))| *lru)
+                .map(|(i, _)| i)
+                .expect("full set");
+            let victim = slots[idx].0 - 1;
+            slots[idx] = (tag, clock);
+            Some(victim)
+        }
+
+        fn remove_line(&mut self, line: u64) {
+            let tag = line + 1;
+            for e in self.set_slots(line) {
+                if e.0 == tag {
+                    *e = (0, 0);
+                }
+            }
+        }
+    }
+
+    /// One cache operation: `(kind, line)`, where kind 0 probes, 1
+    /// inserts and 2 invalidates.
+    fn ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+        // Sets at and next to block edges, in every geometry below:
+        // lines `set + k * 204_800` share a set in each, since 204_800
+        // is a multiple of 64, 8192 and 100 sets. Forty lines per set
+        // outnumber the ways, so fills evict and invalidations hit.
+        // Lines anywhere land in blocks nothing else touches.
+        const SETS: [u64; 12] = [0, 1, 62, 63, 64, 65, 99, 127, 128, 4095, 4096, 8191];
+        let crowded = (0..SETS.len(), 0..40u64).prop_map(|(i, k)| SETS[i] + k * 204_800);
+        let line = prop_oneof![crowded, 0..1u64 << 40];
+        prop::collection::vec((0..3u8, line), 1..600)
+    }
+
+    fn geometry(size: u64, assoc: usize, line: u64) -> CacheConfig {
+        CacheConfig {
+            size,
+            assoc,
+            line,
+            hit_latency: 1,
+        }
+    }
+
+    /// Replays `ops` on both implementations and requires identical
+    /// answers and victims.
+    fn agree(cfg: &CacheConfig, ops: &[(u8, u64)]) {
+        let (mut blocked, mut flat) = (TimingCache::new(cfg), FlatCache::new(cfg));
+        for &(kind, line) in ops {
+            let addr = line * cfg.line + line % cfg.line;
+            match kind {
+                0 => assert_eq!(blocked.probe(addr), flat.probe(addr), "probe {line:#x}"),
+                1 => assert_eq!(blocked.insert(addr), flat.insert(addr), "insert {line:#x}"),
+                _ => {
+                    blocked.remove_line(line);
+                    flat.remove_line(line);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Tag blocks change where slots live, never what a probe,
+        /// a fill or an invalidation does.
+        #[test]
+        fn blocked_tags_match_the_flat_array(ops in ops()) {
+            let machine = MachineConfig::helix_rc(16);
+            agree(&machine.l1, &ops);
+            agree(&machine.l2, &ops);
+            // 100 sets: not a power of two, and a partial last block;
+            // 48-byte lines take the division path.
+            agree(&geometry(100 * 4 * 48, 4, 48), &ops);
+        }
+    }
+
+    #[test]
+    fn l2_tags_are_allocated_on_first_fill() {
+        let allocated = |c: &TimingCache| c.blocks.iter().filter(|b| b.is_some()).count();
+        let mut m = MemSystem::new(&MachineConfig::helix_rc(16));
+        assert_eq!(allocated(&m.l2), 0);
+        assert!(m.l1.iter().all(|c| allocated(c) == 0));
+        assert!(!m.l2.probe(0x1000), "an unallocated block misses");
+        m.l2.remove_line(0x1000 >> 6);
+        assert_eq!(
+            allocated(&m.l2),
+            0,
+            "probes and invalidations allocate nothing"
+        );
+        m.access(0, 0x1000, false, 0);
+        assert_eq!(allocated(&m.l2), 1);
+        assert_eq!(allocated(&m.l1[0]), 1);
+    }
 
     fn small_machine() -> MachineConfig {
         MachineConfig::conventional(4)
