@@ -199,12 +199,11 @@ fn lattice_sweep_optimized(ws: &[Workload]) {
 ///   the same "before" convention every workload row uses;
 /// * **percell_decoded** — per-cell runs on the decoded engine, i.e.
 ///   the shipped pre-lane behaviour (`--lanes 1`);
-/// * **after** — batched lanes (`--lanes 8`): per-scenario shared
-///   compile/decode/report cache, each cell's simulations run as the
-///   lanes of one session.
+/// * **after** — `--lanes 8`: per-scenario shared compile/decode/report
+///   cache, uncached simulations run standalone in parallel.
 ///
 /// All three reports are asserted byte-identical before any number is
-/// reported — the lane-exactness property, enforced at measurement
+/// reported — the cache-exactness property, enforced at measurement
 /// time.
 fn campaign_full_times() -> (f64, f64, f64) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/full.toml");

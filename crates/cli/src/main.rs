@@ -116,8 +116,7 @@ OPTIONS:
                        without --journal, <socket>.journal under serve)
     --resume           Answer journaled entries instead of re-running them
     --lanes N          With N > 1, share one compile/decode/report cache per
-                       scenario and run its simulations as lanes of one
-                       session (campaign/submit; reports are byte-identical
+                       scenario (campaign/submit; reports are byte-identical
                        to --lanes 1)
     --attribution      Attach the per-stall-cause cycle breakdown (the
                        Fig. 12 buckets) to every run row in the report

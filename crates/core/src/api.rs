@@ -65,12 +65,12 @@ pub struct RunOptions {
     pub resume: bool,
     /// Seeded chaos faults. Local execution only.
     pub faults: Option<FaultPlan>,
-    /// Lane width for batched campaign simulation. `None` (or `<= 1`)
-    /// runs every grid cell standalone; `> 1` shares one
-    /// compile/decode/report cache per scenario and runs each cell's
-    /// simulations as the lanes of one session over a shared decode.
-    /// Purely an execution knob: reports are byte-identical either way.
-    /// Carried over the wire as the v1 `lanes` field.
+    /// Campaign cache switch. `None` (or `1`) runs every grid cell on
+    /// its own; `> 1` shares one compile/decode/report cache per
+    /// scenario across its cells, and changes nothing else (the name
+    /// is kept for the CLI flag and the wire). Purely an execution
+    /// knob: reports are byte-identical either way. Carried over the
+    /// wire as the v1 `lanes` field.
     pub lanes: Option<usize>,
     /// Attach the per-stall-cause cycle breakdown (Fig. 12 buckets) to
     /// every scenario run row. Diagnostic output only — deterministic,
@@ -139,8 +139,8 @@ impl RunOptions {
         self
     }
 
-    /// Set the lane width (`> 1` batches campaign simulations through a
-    /// per-scenario cache and session lanes).
+    /// Set the lane width (`> 1` shares one cache per scenario across a
+    /// campaign's cells).
     pub fn with_lanes(mut self, lanes: usize) -> RunOptions {
         self.lanes = Some(lanes);
         self

@@ -16,21 +16,20 @@ use crate::batch::SimCache;
 use crate::experiment::{
     compiler_generations, coupled_vs_ring, decoupling_lattice, link_latency_settings,
     node_memory_settings, overhead_breakdown, signal_bandwidth_settings, sweep_core_count,
-    sweep_ring, ExpError, ExperimentOptions, FUEL,
+    sweep_ring, CompilerGenerations, ExpError, ExperimentOptions, FUEL,
 };
 use crate::report::json_escape as esc;
 use crate::resilient::{
-    fnv1a, run_cell_resilient, CellFailure, FailureKind, Fault, Journal, FNV_OFFSET,
+    cell_fuel, fnv1a, run_cell_resilient, CellFailure, Fault, Journal, FNV_OFFSET,
 };
 use crate::scenario::nest_rows;
-use helix_hcc::{compile, HccConfig};
+use helix_hcc::HccConfig;
 use helix_workloads::spec::{CompilerGen, CountExpr};
 use helix_workloads::{
-    geomean, workload_from_spec, CampaignExperiment, CampaignSpec, ScenarioSpec, Workload,
+    geomean, workload_from_spec, CampaignExperiment, CampaignSpec, Scale, ScenarioSpec, Workload,
 };
 use rayon::prelude::*;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ use std::sync::Arc;
 /// one core count. Headline fields are `Some` when the experiment
 /// produces them; `points` always carries the experiment's full set of
 /// labelled measurements in a stable order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignRow {
     /// Scenario name.
     pub scenario: String,
@@ -90,7 +89,7 @@ pub struct DerivedNestRow {
 /// HELIX-RC speedup relates to the coverage the compiler achieved —
 /// the speedup-vs-coverage axis the paper's Table 1 / Fig. 7 pairing
 /// implies — plus the per-nest breakdown for multi-nest scenarios.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DerivedRow {
     /// Scenario name.
     pub scenario: String,
@@ -524,35 +523,33 @@ struct Cell {
     scenario_ix: usize,
     experiment: CampaignExperiment,
     cores: usize,
+    /// Whether the cell also measures its scenario's [`DerivedRow`]:
+    /// true for the `generations` cell at the largest grid core count.
+    derives: bool,
 }
 
 fn paper_speedup(w: &Workload) -> Option<f64> {
     (w.paper.helix_speedup > 0.0).then_some(w.paper.helix_speedup)
 }
 
-fn blank_row(w: &Workload, experiment: CampaignExperiment, cores: usize) -> CampaignRow {
-    CampaignRow {
-        scenario: w.name.clone(),
-        kind: w.kind.render().into(),
-        experiment: experiment.render().into(),
-        cores,
-        helix_speedup: None,
-        paper_speedup: None,
-        seq_cycles: None,
-        helix_cycles: None,
-        comm_frac: None,
-        overheads: None,
-        points: Vec::new(),
-    }
-}
-
+/// Run one grid cell: its row and, when [`Cell::derives`], its
+/// scenario's derived row.
 fn run_cell(
     cell: Cell,
     sweep_cores: &[usize],
+    scenario: &ScenarioSpec,
     w: &Workload,
+    scale: Scale,
     opts: &ExperimentOptions,
-) -> Result<CampaignRow, ExpError> {
-    let mut row = blank_row(w, cell.experiment, cell.cores);
+) -> Result<(CampaignRow, Option<DerivedRow>), ExpError> {
+    let mut row = CampaignRow {
+        scenario: w.name.clone(),
+        kind: w.kind.render().into(),
+        experiment: cell.experiment.render().into(),
+        cores: cell.cores,
+        ..CampaignRow::default()
+    };
+    let mut derived = None;
     match cell.experiment {
         CampaignExperiment::Generations => {
             let r = compiler_generations(w, cell.cores, opts)?;
@@ -565,6 +562,9 @@ fn run_cell(
             row.paper_speedup = paper_speedup(w);
             row.seq_cycles = Some(r.seq_cycles);
             row.helix_cycles = Some(r.helix_cycles);
+            if cell.derives {
+                derived = Some(derived_row(scenario, w, scale, cell.cores, &r, opts)?);
+            }
         }
         CampaignExperiment::CoupledVsRing => {
             let r = coupled_vs_ring(w, cell.cores, opts)?;
@@ -605,14 +605,73 @@ fn run_cell(
             row.points = sweep_ring(w, cell.cores, &node_memory_settings(), opts)?;
         }
     }
-    Ok(row)
+    Ok((row, derived))
 }
 
-/// Journal cell-file encoding of one [`CampaignRow`]. Floats are stored
-/// as `f64::to_bits` hex so a journaled row decodes to the *exact* value
-/// that was measured — the property that makes a resumed report
-/// byte-identical to an uninterrupted one.
-fn encode_row(row: &CampaignRow) -> String {
+/// The derived speedup-vs-coverage row of one scenario, anchored on its
+/// `generations` measurement `gens` at `cores`: HCCv3's whole-program
+/// coverage and its Amdahl bound, plus per-nest breakdowns for
+/// multi-nest scenarios (in-context weights via prefix differencing,
+/// per-nest speedups from isolated-nest simulations, and plan→nest
+/// attribution through the recorded block boundaries).
+fn derived_row(
+    scenario: &ScenarioSpec,
+    w: &Workload,
+    scale: Scale,
+    cores: usize,
+    gens: &CompilerGenerations,
+    opts: &ExperimentOptions,
+) -> Result<DerivedRow, ExpError> {
+    let compiled = opts.compile(&w.program, &HccConfig::v3(cores as u32))?;
+    let coverage = compiled.stats.coverage.clamp(0.0, 1.0);
+    let amdahl_bound = 1.0 / ((1.0 - coverage) + coverage / cores as f64);
+    // Everything in a derived row is v3-anchored (the headline speedup
+    // is the generations experiment's HELIX-RC run and program_coverage
+    // comes from the v3 compile above), so the isolated nests compile
+    // with v3 too, regardless of the scenario's own `run.compiler`.
+    let nests = nest_rows(
+        scenario,
+        scale,
+        cores,
+        opts.fuel,
+        gens.seq_cycles,
+        CompilerGen::V3,
+    )?
+    .into_iter()
+    .zip(&w.nests)
+    .map(|(row, boundary)| {
+        let (program_coverage, _) =
+            compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
+        DerivedNestRow {
+            name: row.name,
+            weight: row.weight,
+            glue_weight: row.glue_weight,
+            coverage: row.coverage,
+            program_coverage,
+            plans: row.plans,
+            speedup: row.speedup,
+        }
+    })
+    .collect();
+    Ok(DerivedRow {
+        scenario: w.name.clone(),
+        kind: w.kind.render().into(),
+        cores,
+        coverage,
+        speedup: gens.helix_rc,
+        amdahl_bound,
+        bound_frac: gens.helix_rc / amdahl_bound,
+        nests,
+    })
+}
+
+/// Journal cell-file encoding of one [`CampaignRow`] and, for the cell
+/// that measures it, the scenario's [`DerivedRow`] (a `derived` record
+/// plus one `nest` record per nest; its scenario, kind and cores are
+/// the row's). Floats are stored as `f64::to_bits` hex so a journaled
+/// row decodes to the *exact* value that was measured — the property
+/// that makes a resumed report byte-identical to an uninterrupted one.
+fn encode_row(row: &CampaignRow, derived: Option<&DerivedRow>) -> String {
     let mut out = String::from("helix-cell v1\n");
     let _ = writeln!(out, "scenario\t{}", row.scenario);
     let _ = writeln!(out, "kind\t{}", row.kind);
@@ -641,30 +700,44 @@ fn encode_row(row: &CampaignRow) -> String {
         // Label last: labels may contain anything but newlines/tabs.
         let _ = writeln!(out, "point\t{:016x}\t{label}", value.to_bits());
     }
+    if let Some(d) = derived {
+        let _ = writeln!(
+            out,
+            "derived\t{:016x}\t{:016x}\t{:016x}\t{:016x}",
+            d.coverage.to_bits(),
+            d.speedup.to_bits(),
+            d.amdahl_bound.to_bits(),
+            d.bound_frac.to_bits()
+        );
+        for nest in &d.nests {
+            // Name last, like point labels.
+            let _ = writeln!(
+                out,
+                "nest\t{:016x}\t{:016x}\t{:016x}\t{:016x}\t{}\t{:016x}\t{}",
+                nest.weight.to_bits(),
+                nest.glue_weight.to_bits(),
+                nest.coverage.to_bits(),
+                nest.program_coverage.to_bits(),
+                nest.plans,
+                nest.speedup.to_bits(),
+                nest.name
+            );
+        }
+    }
     out
 }
 
-/// Decode a journaled cell file. `None` on any malformed input — the
-/// caller treats that as a cache miss and re-runs the cell.
-fn decode_row(text: &str) -> Option<CampaignRow> {
+/// Decode a journaled cell file into its row and derived row. `None` on
+/// any malformed input — the caller treats that as a cache miss and
+/// re-runs the cell.
+fn decode_row(text: &str) -> Option<(CampaignRow, Option<DerivedRow>)> {
     let mut lines = text.lines();
     if lines.next()? != "helix-cell v1" {
         return None;
     }
     let f64_of = |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits);
-    let mut row = CampaignRow {
-        scenario: String::new(),
-        kind: String::new(),
-        experiment: String::new(),
-        cores: 0,
-        helix_speedup: None,
-        paper_speedup: None,
-        seq_cycles: None,
-        helix_cycles: None,
-        comm_frac: None,
-        overheads: None,
-        points: Vec::new(),
-    };
+    let mut row = CampaignRow::default();
+    let mut derived: Option<DerivedRow> = None;
     for line in lines {
         let (key, rest) = line.split_once('\t')?;
         match key {
@@ -685,10 +758,43 @@ fn decode_row(text: &str) -> Option<CampaignRow> {
                 let (bits, label) = rest.split_once('\t')?;
                 row.points.push((label.to_string(), f64_of(bits)?));
             }
+            "derived" => {
+                let vals: Vec<f64> = rest.split('\t').map(f64_of).collect::<Option<_>>()?;
+                let [coverage, speedup, amdahl_bound, bound_frac] = vals[..] else {
+                    return None;
+                };
+                derived = Some(DerivedRow {
+                    coverage,
+                    speedup,
+                    amdahl_bound,
+                    bound_frac,
+                    ..DerivedRow::default()
+                });
+            }
+            "nest" => {
+                let mut parts = rest.splitn(7, '\t');
+                derived.as_mut()?.nests.push(DerivedNestRow {
+                    weight: f64_of(parts.next()?)?,
+                    glue_weight: f64_of(parts.next()?)?,
+                    coverage: f64_of(parts.next()?)?,
+                    program_coverage: f64_of(parts.next()?)?,
+                    plans: parts.next()?.parse().ok()?,
+                    speedup: f64_of(parts.next()?)?,
+                    name: parts.next()?.to_string(),
+                });
+            }
             _ => return None,
         }
     }
-    (!row.scenario.is_empty() && !row.experiment.is_empty() && row.cores > 0).then_some(row)
+    if row.scenario.is_empty() || row.experiment.is_empty() || row.cores == 0 {
+        return None;
+    }
+    if let Some(d) = &mut derived {
+        d.scenario = row.scenario.clone();
+        d.kind = row.kind.clone();
+        d.cores = row.cores;
+    }
+    Some((row, derived))
 }
 
 /// Load a campaign file and every scenario spec it references. Errors
@@ -764,25 +870,28 @@ impl CampaignRunStats {
 /// `lanes`; the spec already carries the scale and the `[resilience]`
 /// policy (callers apply those overrides first, as
 /// [`api::execute`](crate::api::execute) does). Of `sim` it reads the
-/// engine and `fast_forward`: its fuel, lanes and cache are set per
-/// cell. None of this changes report *content* — any lane width and any
-/// engine give byte-identical reports (pinned by
-/// `tests/lane_exactness.rs`).
+/// engine and `fast_forward`: its fuel and cache are set per cell. None
+/// of this changes report *content* — any lane width and any engine
+/// give byte-identical reports (pinned by `tests/lane_exactness.rs`).
 ///
 /// With `lanes > 1` every scenario shares one [`SimCache`] across its
-/// cells — compiles, decodes, and duplicated runs (sequential baselines
-/// above all) happen once — and each cell's uncached simulations run as
-/// the lanes of one [`helix_sim::SimSession`] over a shared decode.
-/// Fault-injected cells always run single-lane without the shared
-/// cache, preserving per-cell failure isolation.
+/// cells, so compiles, decodes, and duplicated runs (sequential
+/// baselines above all) happen once; that cache is all `lanes` turns
+/// on. Fault-injected cells always run without the shared cache,
+/// preserving per-cell failure isolation.
+///
+/// The `generations` cell at the largest grid core count also measures
+/// its scenario's [`DerivedRow`] and journals it in the same file, so a
+/// derivation failure is that cell's failure and a resumed cell brings
+/// its derived row back with it.
 ///
 /// Every cell runs behind the resilient layer
 /// ([`run_cell_resilient`]): panics are caught at the cell boundary,
 /// failures are classified and (when transient) retried per the spec's
 /// [`ResiliencePolicy`](helix_workloads::ResiliencePolicy), and a
 /// failed cell becomes a [`CellFailure`] row instead of aborting the
-/// run. With a journal, completed cells *and derived rows* are
-/// persisted under their content digest; with `resume`, journaled
+/// run. With a journal, completed cells are persisted under their
+/// content digest; with `resume`, journaled
 /// entries are loaded instead of re-run, so a crashed or interrupted
 /// campaign continues where it stopped — and editing one scenario
 /// re-runs only that scenario's cells. When every entry hits, the
@@ -835,27 +944,23 @@ pub fn run_campaign(
     } else {
         spec.grid.sweep_cores.iter().map(|&c| c as usize).collect()
     };
+    let top_cores = *grid_cores.iter().max().expect("validated non-empty cores");
     let mut cells: Vec<Cell> = Vec::new();
     for &experiment in &spec.grid.experiments {
-        if experiment == CampaignExperiment::CoreSweep {
-            // The sweep consumes the whole core axis as one cell.
-            let cores = *sweep_cores.iter().max().expect("validated non-empty cores");
+        // The sweep consumes the whole core axis as one cell.
+        let axis = if experiment == CampaignExperiment::CoreSweep {
+            vec![*sweep_cores.iter().max().expect("validated non-empty cores")]
+        } else {
+            grid_cores.clone()
+        };
+        for cores in axis {
             for scenario_ix in 0..workloads.len() {
                 cells.push(Cell {
                     scenario_ix,
                     experiment,
                     cores,
+                    derives: experiment == CampaignExperiment::Generations && cores == top_cores,
                 });
-            }
-        } else {
-            for &cores in &grid_cores {
-                for scenario_ix in 0..workloads.len() {
-                    cells.push(Cell {
-                        scenario_ix,
-                        experiment,
-                        cores,
-                    });
-                }
             }
         }
     }
@@ -872,14 +977,7 @@ pub fn run_campaign(
             None
         }
     };
-    // Effective per-cell cycle budget: the spec's cycle_budget when set,
-    // else the experiment default. Part of each cell's digest — a budget
-    // change must invalidate journaled results.
-    let fuel = if spec.resilience.cycle_budget > 0 {
-        spec.resilience.cycle_budget as u64
-    } else {
-        FUEL
-    };
+    let fuel = cell_fuel(&spec.resilience, FUEL);
 
     // Stable per-cell identity, used both for chaos-fault assignment
     // and (hashed together with everything result-determining) as the
@@ -923,54 +1021,57 @@ pub fn run_campaign(
         .map(|p| (p.stall_ms, p.transient))
         .unwrap_or((0, false));
 
-    // Lane batching: with `lanes > 1` every scenario gets one shared
-    // SimCache (compile/decode/report dedup across its cells) and each
-    // cell runs its uncached simulations as session lanes. Cached
-    // values are deterministic, so the report stays byte-identical to
-    // a single-lane run.
-    let lanes = options.lanes.unwrap_or(1).max(1);
-    let mut base_opts = sim.clone().with_lanes(lanes);
-    base_opts.cache = None;
+    // With `lanes > 1` every scenario gets one shared SimCache
+    // (compile/decode/report dedup across its cells). Cached values are
+    // deterministic, so the report stays byte-identical to an uncached
+    // run.
+    let shared = options.lanes.is_some_and(|lanes| lanes > 1);
+    let base_opts = ExperimentOptions {
+        cache: None,
+        ..sim.clone()
+    };
     let caches: Vec<Option<Arc<SimCache>>> = workloads
         .iter()
-        .map(|_| (lanes > 1).then(|| Arc::new(SimCache::new())))
+        .map(|_| shared.then(|| Arc::new(SimCache::new())))
         .collect();
 
-    enum CellOutcome {
-        /// A completed row, and whether it came from the journal.
-        Row(Box<CampaignRow>, bool),
-        Failed(CellFailure),
-    }
+    // Each cell ends as its row, its derived row, and whether both came
+    // from the journal, or as a failure.
+    type Outcome = Result<(CampaignRow, Option<DerivedRow>, bool), CellFailure>;
     let ixs: Vec<usize> = (0..cells.len()).collect();
-    let outcomes: Vec<CellOutcome> = ixs
+    let outcomes: Vec<Outcome> = ixs
         .par_iter()
         .map(|&ix| {
             let cell = cells[ix];
             let w = &workloads[cell.scenario_ix];
             if options.resume {
-                if let Some(row) = journal
+                // A cell that should carry a derived row but decodes
+                // without one (an older build's entry) is a miss.
+                if let Some((row, derived)) = journal
                     .as_ref()
                     .and_then(|j| j.load(digests[ix]))
                     .and_then(|text| decode_row(&text))
+                    .filter(|(_, derived)| derived.is_some() == cell.derives)
                 {
-                    return CellOutcome::Row(Box::new(row), true);
+                    return Ok((row, derived, true));
                 }
             }
-            // Fault-injected cells run single-lane without the shared
-            // cache: a cell that panics or stalls mid-simulation must
-            // not seed (or poison) state other cells consume.
+            // Fault-injected cells run without the shared cache: a cell
+            // that panics or stalls mid-simulation must not seed (or
+            // poison) state other cells consume.
             let cell_opts = match (faults[ix], &caches[cell.scenario_ix]) {
                 (None, Some(cache)) => base_opts.clone().with_cache(cache.clone()),
-                (Some(_), _) => base_opts.clone().with_lanes(1),
-                (None, None) => base_opts.clone(),
+                _ => base_opts.clone(),
             };
             let result = run_cell_resilient(
-                |cell_fuel| {
+                |fuel| {
                     run_cell(
                         cell,
                         &sweep_cores,
+                        &reseeded[cell.scenario_ix],
                         w,
-                        &cell_opts.clone().with_fuel(cell_fuel),
+                        spec.scale,
+                        &cell_opts.clone().with_fuel(fuel),
                     )
                 },
                 fuel,
@@ -980,15 +1081,15 @@ pub fn run_campaign(
                 transient_faults,
             );
             match result {
-                Ok(row) => {
+                Ok((row, derived)) => {
                     if let Some(j) = &journal {
                         // Journal errors are not worth failing the cell
                         // over; the run still completes in memory.
-                        let _ = j.store(digests[ix], &encode_row(&row));
+                        let _ = j.store(digests[ix], &encode_row(&row, derived.as_ref()));
                     }
-                    CellOutcome::Row(Box::new(row), false)
+                    Ok((row, derived, false))
                 }
-                Err((kind, message, retries)) => CellOutcome::Failed(CellFailure {
+                Err((kind, message, retries)) => Err(CellFailure {
                     scenario: w.name.clone(),
                     experiment: cell.experiment.render().to_string(),
                     cores: cell.cores,
@@ -1005,34 +1106,29 @@ pub fn run_campaign(
         ..CampaignRunStats::default()
     };
     let mut rows: Vec<CampaignRow> = Vec::new();
+    let mut derived: Vec<DerivedRow> = Vec::new();
     let mut failures: Vec<CellFailure> = Vec::new();
+    // Cells run in enumeration order, and the deriving cells are one
+    // (experiment, cores) group, so derived rows come in scenario order.
     for outcome in outcomes {
         match outcome {
-            CellOutcome::Row(row, hit) => {
+            Ok((row, derived_row, hit)) => {
                 if hit {
                     stats.journal_hits += 1;
+                    stats.derived_hits += usize::from(derived_row.is_some());
                 } else {
                     stats.simulated += 1;
+                    stats.derived_computed += usize::from(derived_row.is_some());
                 }
-                rows.push(*row);
+                rows.push(row);
+                derived.extend(derived_row);
             }
-            CellOutcome::Failed(failure) => {
+            Err(failure) => {
                 stats.failed += 1;
                 failures.push(failure);
             }
         }
     }
-
-    let derived = derive_rows(
-        spec,
-        &reseeded,
-        &workloads,
-        &rows,
-        &mut failures,
-        journal.as_ref().filter(|_| options.faults.is_none()),
-        options.resume,
-        &mut stats,
-    );
 
     let report = CampaignReport {
         name: spec.name.clone(),
@@ -1047,251 +1143,12 @@ pub fn run_campaign(
     Ok((report, stats))
 }
 
-/// Journal encoding of one [`DerivedRow`] (`helix-derived v1`). Floats
-/// are `f64::to_bits` hex, exactly like [`encode_row`], so a journaled
-/// derived row reproduces its report bytes.
-fn encode_derived(d: &DerivedRow) -> String {
-    let mut out = String::from("helix-derived v1\n");
-    let _ = writeln!(out, "scenario\t{}", d.scenario);
-    let _ = writeln!(out, "kind\t{}", d.kind);
-    let _ = writeln!(out, "cores\t{}", d.cores);
-    let _ = writeln!(out, "coverage\t{:016x}", d.coverage.to_bits());
-    let _ = writeln!(out, "speedup\t{:016x}", d.speedup.to_bits());
-    let _ = writeln!(out, "amdahl_bound\t{:016x}", d.amdahl_bound.to_bits());
-    let _ = writeln!(out, "bound_frac\t{:016x}", d.bound_frac.to_bits());
-    for nest in &d.nests {
-        // Name last: names may contain anything but newlines/tabs.
-        let _ = writeln!(
-            out,
-            "nest\t{:016x}\t{:016x}\t{:016x}\t{:016x}\t{}\t{:016x}\t{}",
-            nest.weight.to_bits(),
-            nest.glue_weight.to_bits(),
-            nest.coverage.to_bits(),
-            nest.program_coverage.to_bits(),
-            nest.plans,
-            nest.speedup.to_bits(),
-            nest.name
-        );
-    }
-    out
-}
-
-/// Decode a journaled derived row. `None` on any malformed input — the
-/// caller treats that as a cache miss and re-derives.
-fn decode_derived(text: &str) -> Option<DerivedRow> {
-    let mut lines = text.lines();
-    if lines.next()? != "helix-derived v1" {
-        return None;
-    }
-    let f64_of = |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits);
-    let mut d = DerivedRow {
-        scenario: String::new(),
-        kind: String::new(),
-        cores: 0,
-        coverage: 0.0,
-        speedup: 0.0,
-        amdahl_bound: 0.0,
-        bound_frac: 0.0,
-        nests: Vec::new(),
-    };
-    for line in lines {
-        let (key, rest) = line.split_once('\t')?;
-        match key {
-            "scenario" => d.scenario = rest.to_string(),
-            "kind" => d.kind = rest.to_string(),
-            "cores" => d.cores = rest.parse().ok()?,
-            "coverage" => d.coverage = f64_of(rest)?,
-            "speedup" => d.speedup = f64_of(rest)?,
-            "amdahl_bound" => d.amdahl_bound = f64_of(rest)?,
-            "bound_frac" => d.bound_frac = f64_of(rest)?,
-            "nest" => {
-                let mut parts = rest.splitn(7, '\t');
-                let nest = DerivedNestRow {
-                    weight: f64_of(parts.next()?)?,
-                    glue_weight: f64_of(parts.next()?)?,
-                    coverage: f64_of(parts.next()?)?,
-                    program_coverage: f64_of(parts.next()?)?,
-                    plans: parts.next()?.parse().ok()?,
-                    speedup: f64_of(parts.next()?)?,
-                    name: parts.next()?.to_string(),
-                };
-                d.nests.push(nest);
-            }
-            _ => return None,
-        }
-    }
-    (!d.scenario.is_empty() && d.cores > 0).then_some(d)
-}
-
-/// One derived-row attempt: a journaled-or-computed row (with its
-/// journal-hit flag), a skip, or a classified failure.
-type DerivedOutcome = Result<Option<(DerivedRow, bool)>, (FailureKind, String)>;
-
-/// Compute the derived speedup-vs-coverage metrics: one row per
-/// scenario, anchored on its `generations` measurement at the largest
-/// grid core count, plus per-nest breakdowns for multi-nest scenarios
-/// (in-context weights via prefix differencing, per-nest speedups from
-/// isolated-nest simulations, and plan→nest attribution through the
-/// recorded block boundaries). With a journal, completed derived rows
-/// are stored content-addressed (like grid cells) and answered from the
-/// journal on resume, so a fully-journaled campaign derives without
-/// simulating.
-#[allow(clippy::too_many_arguments)]
-fn derive_rows(
-    spec: &CampaignSpec,
-    reseeded: &[ScenarioSpec],
-    workloads: &[Workload],
-    rows: &[CampaignRow],
-    failures: &mut Vec<CellFailure>,
-    journal: Option<&Journal>,
-    resume: bool,
-    stats: &mut CampaignRunStats,
-) -> Vec<DerivedRow> {
-    if !spec
-        .grid
-        .experiments
-        .contains(&CampaignExperiment::Generations)
-    {
-        return Vec::new();
-    }
-    let cores = *spec.grid.cores.iter().max().expect("validated non-empty") as usize;
-    let fuel = if spec.resilience.cycle_budget > 0 {
-        spec.resilience.cycle_budget as u64
-    } else {
-        FUEL
-    };
-    // Same digest recipe as grid cells, under a reserved "derived"
-    // pseudo-experiment name so the two namespaces cannot collide.
-    let digests: Vec<u64> = reseeded
-        .iter()
-        .map(|scenario| {
-            let mut h = fnv1a(FNV_OFFSET, env!("CARGO_PKG_VERSION").as_bytes());
-            h = fnv1a(h, format!("{:?}", spec.scale).as_bytes());
-            h = fnv1a(h, &fuel.to_le_bytes());
-            h = fnv1a(h, format!("{}/derived@{cores}", scenario.name).as_bytes());
-            fnv1a(h, scenario.to_toml().as_bytes())
-        })
-        .collect();
-    // The vendored rayon subset has no `zip`; index instead.
-    let ixs: Vec<usize> = (0..reseeded.len()).collect();
-    let results: Vec<DerivedOutcome> = ixs
-        .par_iter()
-        .map(|&ix| {
-            let (scenario, w) = (&reseeded[ix], &workloads[ix]);
-            if resume {
-                if let Some(row) = journal
-                    .and_then(|j| j.load(digests[ix]))
-                    .and_then(|text| decode_derived(&text))
-                {
-                    return Ok(Some((row, true)));
-                }
-            }
-            // A scenario whose generations cell failed has no anchor
-            // for derivation; the cell failure is already recorded, so
-            // just skip the derived row.
-            let Some((speedup, seq_cycles)) = rows
-                .iter()
-                .find(|r| r.scenario == w.name && r.experiment == "generations" && r.cores == cores)
-                .and_then(|r| Some((r.helix_speedup?, r.seq_cycles?)))
-            else {
-                return Ok(None);
-            };
-            let body = || -> Result<DerivedRow, ExpError> {
-                let compiled = compile(&w.program, &HccConfig::v3(cores as u32))?;
-                let coverage = compiled.stats.coverage.clamp(0.0, 1.0);
-                let amdahl_bound = 1.0 / ((1.0 - coverage) + coverage / cores as f64);
-                // Everything in a derived row is v3-anchored (the headline
-                // speedup is the generations experiment's HELIX-RC run and
-                // program_coverage comes from the v3 compile above), so the
-                // isolated nests compile with v3 too, regardless of the
-                // scenario's own `run.compiler`.
-                let nests = nest_rows(
-                    scenario,
-                    spec.scale,
-                    cores,
-                    fuel,
-                    seq_cycles,
-                    CompilerGen::V3,
-                )?
-                .into_iter()
-                .zip(&w.nests)
-                .map(|(row, boundary)| {
-                    let (program_coverage, _) =
-                        compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
-                    DerivedNestRow {
-                        name: row.name,
-                        weight: row.weight,
-                        glue_weight: row.glue_weight,
-                        coverage: row.coverage,
-                        program_coverage,
-                        plans: row.plans,
-                        speedup: row.speedup,
-                    }
-                })
-                .collect();
-                Ok(DerivedRow {
-                    scenario: w.name.clone(),
-                    kind: w.kind.render().into(),
-                    cores,
-                    coverage,
-                    speedup,
-                    amdahl_bound,
-                    bound_frac: speedup / amdahl_bound,
-                    nests,
-                })
-            };
-            // Derivation failures degrade like cell failures instead of
-            // poisoning the report.
-            match catch_unwind(AssertUnwindSafe(body)) {
-                Ok(Ok(row)) => {
-                    if let Some(j) = journal {
-                        let _ = j.store(digests[ix], &encode_derived(&row));
-                    }
-                    Ok(Some((row, false)))
-                }
-                Ok(Err(e)) => Err((FailureKind::Error, e.to_string())),
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic with non-string payload".into());
-                    Err((FailureKind::Panic, message))
-                }
-            }
-        })
-        .collect();
-    let mut derived = Vec::new();
-    for (ix, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(Some((row, hit))) => {
-                if hit {
-                    stats.derived_hits += 1;
-                } else {
-                    stats.derived_computed += 1;
-                }
-                derived.push(row);
-            }
-            Ok(None) => {}
-            Err((kind, message)) => failures.push(CellFailure {
-                scenario: workloads[ix].name.clone(),
-                experiment: "derived".to_string(),
-                cores,
-                kind,
-                retries: 0,
-                message,
-            }),
-        }
-    }
-    derived
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::compiler_generations;
-    use crate::resilient::FaultPlan;
-    use helix_workloads::{builtin_spec, CampaignGrid, Scale};
+    use crate::resilient::{FailureKind, FaultPlan};
+    use helix_workloads::{builtin_spec, CampaignGrid};
     use std::path::PathBuf;
 
     fn run(
@@ -1594,7 +1451,8 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
     }
 
-    /// Journal round-trip preserves rows exactly, including float bits.
+    /// Journal round-trip preserves rows and derived rows exactly,
+    /// including float bits and nest names with spaces.
     #[test]
     fn encode_decode_row_roundtrip() {
         let row = CampaignRow {
@@ -1610,8 +1468,39 @@ mod tests {
             overheads: Some([0.1, 0.0, 0.25, 0.3, 0.000_001, 0.9, 1.0 / 3.0]),
             points: vec![("HCCv1".into(), 1.5), ("HELIX-RC".into(), 3.756_218_905_3)],
         };
-        let decoded = decode_row(&encode_row(&row)).unwrap();
-        assert_eq!(decoded, row);
+        assert_eq!(
+            decode_row(&encode_row(&row, None)).unwrap(),
+            (row.clone(), None)
+        );
+
+        let nest = |name: &str, plans| DerivedNestRow {
+            name: name.into(),
+            weight: 0.625,
+            glue_weight: 1.0 / 7.0,
+            coverage: 0.999_9,
+            program_coverage: 0.3,
+            plans,
+            speedup: 2.531_64,
+        };
+        let derived = DerivedRow {
+            scenario: row.scenario.clone(),
+            kind: row.kind.clone(),
+            cores: row.cores,
+            coverage: 0.912_345,
+            speedup: 3.756_218_905_3,
+            amdahl_bound: 5.123_456_7,
+            bound_frac: 0.733_1,
+            nests: vec![nest("outer loop nest", 3), nest("tail", 0)],
+        };
+        let text = encode_row(&row, Some(&derived));
+        assert_eq!(decode_row(&text).unwrap(), (row, Some(derived)));
+        // Nest records without their derived record are malformed.
+        let orphan_nests: String = text
+            .lines()
+            .filter(|l| !l.starts_with("derived\t"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(decode_row(&orphan_nests).is_none());
         assert!(decode_row("not a cell\n").is_none());
         assert!(decode_row("helix-cell v1\nbogus-key\tvalue\n").is_none());
     }

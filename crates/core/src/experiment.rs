@@ -7,8 +7,7 @@ use helix_hcc::{CompiledProgram, HccConfig, LoopPlan};
 use helix_ir::Program;
 use helix_ring_cache::{ArrayConfig, RingConfig};
 use helix_sim::{
-    Bucket, CoreModel, DecoupleConfig, EngineSel, Machine, MachineConfig, RunReport, SimSession,
-    SyncModel,
+    Bucket, CoreModel, DecoupleConfig, EngineSel, Machine, MachineConfig, RunReport, SyncModel,
 };
 use helix_workloads::Workload;
 use rayon::prelude::*;
@@ -22,21 +21,15 @@ pub const FUEL: u64 = 1 << 27;
 /// the one knob set that used to be the `*_with_fuel` variant sprawl.
 ///
 /// [`ExperimentOptions::default`] reproduces the historical defaults
-/// (the [`FUEL`] budget, the decoded engine, single-lane execution, no
-/// cache), so `&ExperimentOptions::default()` is a drop-in for the old
-/// short-form calls.
+/// (the [`FUEL`] budget, the decoded engine, no cache), so
+/// `&ExperimentOptions::default()` is a drop-in for the old short-form
+/// calls.
 #[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Cycle budget per simulation.
     pub fuel: u64,
     /// Execution engine every simulation in the experiment runs under.
     pub engine: EngineSel,
-    /// Lane width: `> 1` runs each batch's uncached simulations as the
-    /// lanes of one [`SimSession`] (one shared decode, lanes run one
-    /// after another), and makes campaigns share a per-scenario
-    /// [`SimCache`]; `1` runs each simulation standalone, in parallel.
-    /// Either way the reports are identical.
-    pub lanes: usize,
     /// Per-scenario memo for compiles, decodes, and run reports.
     /// Campaigns share one cache across every cell of a scenario so
     /// overlapping work — sequential baselines, HCCv3 compiles,
@@ -56,7 +49,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             fuel: FUEL,
             engine: EngineSel::Decoded,
-            lanes: 1,
             cache: None,
             fast_forward: true,
         }
@@ -76,12 +68,6 @@ impl ExperimentOptions {
         self
     }
 
-    /// The same options with a different lane width.
-    pub fn with_lanes(mut self, lanes: usize) -> ExperimentOptions {
-        self.lanes = lanes;
-        self
-    }
-
     /// The same options sharing the given simulation cache.
     pub fn with_cache(mut self, cache: Arc<SimCache>) -> ExperimentOptions {
         self.cache = Some(cache);
@@ -96,7 +82,7 @@ impl ExperimentOptions {
     }
 
     /// Compile under `hcc`, memoized through the cache when present.
-    fn compile(
+    pub(crate) fn compile(
         &self,
         program: &Program,
         hcc: &HccConfig,
@@ -110,13 +96,12 @@ impl ExperimentOptions {
 
 /// Run `cfgs` over one (program, plans) pair under `opts`: engine
 /// selection applied uniformly, report memoization through the cache,
-/// and — with `opts.lanes > 1` — cache misses run as the lanes of one
-/// [`SimSession`] over a single shared decode (otherwise standalone, in
-/// parallel). `decode_key` identifies the program in the cache
-/// ([`SEQ_KEY`] or a compile key).
+/// and every miss simulated standalone, in parallel (over the cache's
+/// shared decode when there is one). `decode_key` identifies the
+/// program in the cache ([`SEQ_KEY`] or a compile key).
 ///
-/// Every path produces bit-identical reports; they differ only in how
-/// much work is shared.
+/// Cached and fresh runs produce bit-identical reports; they differ
+/// only in how much work is shared.
 fn run_batch(
     opts: &ExperimentOptions,
     decode_key: &str,
@@ -147,32 +132,18 @@ fn run_batch(
         (Some(cache), true) => Some(cache.decoded(decode_key, program)),
         _ => None,
     };
-    if opts.lanes > 1 && misses.len() > 1 {
-        // Every miss as a lane of one session over one shared decode.
-        let mut session = match &decoded {
-            Some(d) => SimSession::with_decoded(program, plans, d.clone()),
-            None => SimSession::new(program, plans),
-        };
-        for &ix in &misses {
-            session.enqueue(cfgs[ix].clone(), opts.fuel);
-        }
-        for (lane, &ix) in session.drain().into_iter().zip(&misses) {
-            results[ix] = Some(lane.result?);
-        }
-    } else {
-        let computed: Vec<Result<RunReport, ExpError>> = misses
-            .par_iter()
-            .map(|&ix| {
-                let mut machine = match &decoded {
-                    Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
-                    None => Machine::new(program, plans, cfgs[ix].clone()),
-                };
-                Ok(machine.run(opts.fuel)?)
-            })
-            .collect();
-        for (report, &ix) in computed.into_iter().zip(&misses) {
-            results[ix] = Some(report?);
-        }
+    let computed: Vec<Result<RunReport, ExpError>> = misses
+        .par_iter()
+        .map(|&ix| {
+            let mut machine = match &decoded {
+                Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
+                None => Machine::new(program, plans, cfgs[ix].clone()),
+            };
+            Ok(machine.run(opts.fuel)?)
+        })
+        .collect();
+    for (report, &ix) in computed.into_iter().zip(&misses) {
+        results[ix] = Some(report?);
     }
     if let Some(cache) = &opts.cache {
         for &ix in &misses {
@@ -408,8 +379,7 @@ impl LatticePoint {
 /// Speedups across the decoupling lattice for one workload (Fig. 8).
 /// The five lattice points compile at most twice (HCCv2 for the
 /// baseline bar, HCCv3 for the rest), and the four HCCv3 points run as
-/// one batch over a shared program — the lanes of one session when
-/// `opts.lanes > 1`.
+/// one batch over a shared program.
 pub fn decoupling_lattice(
     w: &Workload,
     cores: usize,
@@ -521,8 +491,8 @@ pub fn coupled_vs_ring(
     opts: &ExperimentOptions,
 ) -> Result<CoupledVsRing, ExpError> {
     // HCCv3 selects loops assuming decoupling exists (ring-class sync
-    // cost), then the code runs on both machines — one two-lane batch
-    // over the shared compile.
+    // cost), then the code runs on both machines — one two-config
+    // batch over the shared compile.
     let hcc = HccConfig::v3(cores as u32);
     let compiled = opts.compile(&w.program, &hcc)?;
     let seq = baseline_cycles(w, &MachineConfig::conventional(cores), opts)?;
@@ -536,8 +506,8 @@ pub fn coupled_vs_ring(
             MachineConfig::helix_rc(cores),
         ],
     )?;
-    let ring = reports.pop().expect("two lanes");
-    let conv = reports.pop().expect("two lanes");
+    let ring = reports.pop().expect("two configs");
+    let conv = reports.pop().expect("two configs");
     check(&conv, "conventional")?;
     check(&ring, "ring")?;
     Ok(CoupledVsRing {
@@ -655,8 +625,7 @@ pub fn sweep_core_count(
 
 /// Sweep a ring-cache parameter; `set` mutates the default ring config.
 /// The compiled program, its decode, and the baseline are shared; every
-/// sweep point rides the same `run_batch` call, so with `opts.lanes > 1`
-/// the whole sweep runs as the lanes of one session.
+/// sweep point rides the same `run_batch` call.
 pub fn sweep_ring<F: Fn(&mut RingConfig) + Sync>(
     w: &Workload,
     cores: usize,

@@ -76,8 +76,7 @@ impl FailureKind {
 pub struct CellFailure {
     /// Scenario (workload) name.
     pub scenario: String,
-    /// Experiment spelling (`CampaignExperiment::render`, or "derived"
-    /// for post-processing failures).
+    /// Experiment spelling (`CampaignExperiment::render`).
     pub experiment: String,
     /// Core count of the cell.
     pub cores: usize,
@@ -276,6 +275,17 @@ impl Journal {
     }
 }
 
+/// A cell's cycle budget: `policy.cycle_budget` when set, else
+/// `default_fuel`. Campaign journal digests hash it, so a budget change
+/// invalidates journaled results.
+pub(crate) fn cell_fuel(policy: &ResiliencePolicy, default_fuel: u64) -> u64 {
+    if policy.cycle_budget > 0 {
+        policy.cycle_budget as u64
+    } else {
+        default_fuel
+    }
+}
+
 /// Outcome classification of one attempt, before retry policy.
 enum Attempt<T> {
     Ok(T),
@@ -308,11 +318,7 @@ where
     F: Fn(u64) -> Result<T, ExpError>,
 {
     let max_retries = policy.max_retries.max(0) as u32;
-    let base_fuel = if policy.cycle_budget > 0 {
-        policy.cycle_budget as u64
-    } else {
-        default_fuel
-    };
+    let base_fuel = cell_fuel(policy, default_fuel);
     let mut last: Option<(FailureKind, String)> = None;
     for attempt in 0..=max_retries {
         let inject = fault.filter(|_| !transient_faults || attempt == 0);

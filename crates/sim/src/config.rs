@@ -53,9 +53,9 @@ pub enum EngineSel {
     /// The decoded engine driven through a
     /// [`SimSession`](crate::SimSession): many machines share one
     /// `Arc<DecodedProgram>` and run one after another. A machine built
-    /// directly under this selection behaves exactly like `Decoded`;
-    /// the selection exists so callers (experiments, campaigns, the
-    /// CLI) can request batched execution uniformly.
+    /// directly under this selection behaves exactly like `Decoded`.
+    /// Experiments and campaigns never batch; the selection serves
+    /// explore's lane-invariance oracle and the exactness tests.
     Batched,
 }
 

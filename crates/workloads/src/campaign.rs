@@ -268,6 +268,19 @@ impl CampaignSpec {
                 )));
             }
         }
+        for (axis, values) in [
+            ("cores", &self.grid.cores),
+            ("sweep_cores", &self.grid.sweep_cores),
+        ] {
+            for (i, &cores) in values.iter().enumerate() {
+                if values[..i].contains(&cores) {
+                    return Err(SpecError::new(format!(
+                        "{}: duplicate core count {cores} in grid.{axis}",
+                        self.name
+                    )));
+                }
+            }
+        }
         for (i, e) in self.grid.experiments.iter().enumerate() {
             if self.grid.experiments[..i].contains(e) {
                 return Err(SpecError::new(format!(
@@ -747,6 +760,13 @@ mod tests {
         assert!(CampaignSpec::from_toml(bad_scale).is_err());
         let dup = "name = \"x\"\nscenarios = [\"a.toml\"]\n[grid]\nexperiments = [\"lattice\", \"lattice\"]\n";
         assert!(CampaignSpec::from_toml(dup).is_err());
+        for (axis, needle) in [("cores", "grid.cores"), ("sweep_cores", "grid.sweep_cores")] {
+            let dup =
+                format!("name = \"x\"\nscenarios = [\"a.toml\"]\n[grid]\n{axis} = [4, 8, 8]\n");
+            let err = CampaignSpec::from_toml(&dup).unwrap_err();
+            assert!(err.message.contains("duplicate core count 8"), "{err}");
+            assert!(err.message.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -60,7 +60,9 @@ fn committed_smoke_campaign_runs_deterministically() {
 /// with injected panics completes with exactly those cells enumerated
 /// as failures (never aborting the sweep), and resuming from its
 /// journal reproduces the uninterrupted report byte for byte — the
-/// property the CI chaos-smoke job pins at the CLI level.
+/// property the CI chaos-smoke job pins at the CLI level. Derived rows
+/// are journaled with their `generations` cell under chaos too, so the
+/// resume recomputes only those of the failed cells.
 #[test]
 fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
     let (spec, scenarios) =
@@ -98,9 +100,22 @@ fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
         resume: true,
         ..RunOptions::default()
     };
-    let (resumed, _) =
+    let (resumed, stats) =
         run_campaign(&spec, &scenarios, &resume_opts, &sim).expect("resume completes");
     assert!(resumed.failures.is_empty());
+    let top_cores = *spec.grid.cores.iter().max().unwrap() as usize;
+    let failed_derivers = chaos
+        .failures
+        .iter()
+        .filter(|f| f.experiment == "generations" && f.cores == top_cores)
+        .count();
+    assert!(failed_derivers > 0, "the plan must hit a deriving cell");
+    assert_eq!(stats.derived_computed, failed_derivers, "{stats:?}");
+    assert_eq!(
+        stats.derived_hits,
+        clean.derived.len() - failed_derivers,
+        "{stats:?}"
+    );
     assert_eq!(
         resumed.to_json(),
         clean.to_json(),

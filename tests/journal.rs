@@ -8,6 +8,7 @@ mod common;
 use common::repo_path;
 use helix_rc::api::{execute, Request, Response, RunOptions, SpecSource};
 use helix_rc::campaign::CampaignRunStats;
+use helix_rc::resilient::Journal;
 use helix_rc::workloads::builtin_spec;
 use helix_rc::CampaignSource;
 use std::path::{Path, PathBuf};
@@ -84,6 +85,43 @@ fn truncated_campaign_cell_reruns_on_resume() {
     assert_eq!(stats.journal_hits, stats.cells - 1, "{stats:?}");
     assert_eq!(stats.simulated, 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// A top-core `generations` cell whose file has no derived row (as an
+/// older build wrote it) is a miss even with an intact trailer: it
+/// re-runs, and the resumed report equals a clean run byte for byte.
+#[test]
+fn generations_cell_without_its_derived_row_reruns_on_resume() {
+    let journal_dir = temp_journal("derived");
+    let (clean, _) = smoke(RunOptions::new().with_journal(&journal_dir));
+    let journal = Journal::open(&journal_dir).expect("journal opens");
+    let (digest, text) = cell_files(&journal_dir)
+        .iter()
+        .map(|p| {
+            let stem = p.file_stem().unwrap().to_str().unwrap();
+            let digest = u64::from_str_radix(stem, 16).expect("hex digest");
+            (digest, journal.load(digest).expect("intact entry"))
+        })
+        .find(|(_, text)| text.lines().any(|l| l.starts_with("derived\t")))
+        .expect("a journaled cell with a derived row");
+    let stripped: String = text
+        .lines()
+        .filter(|l| !l.starts_with("derived\t") && !l.starts_with("nest\t"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(stripped.starts_with("helix-cell v1\n"), "{stripped}");
+    journal.store(digest, &stripped).unwrap();
+
+    let (resumed, stats) = smoke(
+        RunOptions::new()
+            .with_journal(&journal_dir)
+            .with_resume(true),
+    );
+    assert_eq!(resumed, clean, "resumed report differs from a clean run");
+    assert_eq!(stats.simulated, 1, "{stats:?}");
+    assert_eq!(stats.derived_computed, 1, "{stats:?}");
+    assert_eq!(stats.journal_hits, stats.cells - 1, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }
 
 /// A truncated scenario-report entry is a miss: the scenario simulates

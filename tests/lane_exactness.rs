@@ -1,12 +1,12 @@
-//! Lane-exactness pins: batched lane execution (one shared decode and
-//! a per-scenario cache) is a pure performance feature — a report
-//! produced with any lane width, engine selection, or shared-cache
-//! configuration must be byte-identical to the single-lane per-cell
-//! baseline. These tests
+//! Lane-exactness pins: the per-scenario cache that `lanes > 1` turns
+//! on is a pure performance feature — a report produced with any lane
+//! width, engine selection, or shared-cache configuration must be
+//! byte-identical to the uncached per-cell baseline. These tests
 //! enforce that across every committed scenario (the paper campaign),
-//! across the engine axis (tree and decoded, standalone and batched),
-//! and under the chaos harness (fault-injected cells stay isolated
-//! from their batched neighbours).
+//! across the engine axis (tree and decoded, cached and uncached),
+//! under the chaos harness (fault-injected cells stay isolated from
+//! their cached neighbours), and, for `SimSession` lanes, against
+//! standalone machine runs.
 
 mod common;
 
@@ -32,16 +32,16 @@ fn run(spec: &CampaignSpec, scenarios: &[ScenarioSpec], options: &RunOptions) ->
 
 /// The committed paper campaign — every committed scenario through
 /// every experiment family — reports byte-identically whether cells
-/// run standalone or batched over shared decodes.
+/// run uncached or share a per-scenario cache.
 #[test]
 fn batched_paper_campaign_is_byte_identical_to_per_cell() {
     let (spec, scenarios) =
         load_campaign(&repo_path("campaigns/paper.toml")).expect("paper campaign loads");
     let baseline = run(&spec, &scenarios, &RunOptions::new());
     assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
-    // Any width > 1 takes the same path (a shared per-scenario cache,
-    // each cell's misses as lanes of one session); wider widths only
-    // repeat the same ~40s campaign without new coverage.
+    // Any width > 1 takes the same path (a shared per-scenario cache);
+    // wider widths only repeat the same ~40s campaign without new
+    // coverage.
     let batched = run(&spec, &scenarios, &RunOptions::new().with_lanes(4));
     assert_eq!(
         batched.to_json(),
@@ -51,7 +51,7 @@ fn batched_paper_campaign_is_byte_identical_to_per_cell() {
 }
 
 /// The engine and lane axes are invisible in reports: tree interpreter
-/// and decoded engine, each standalone and batched four lanes wide,
+/// and decoded engine, each uncached and with the `lanes = 4` cache,
 /// emit the same smoke-campaign bytes.
 #[test]
 fn engine_selection_never_changes_report_bytes() {
@@ -80,11 +80,11 @@ fn engine_selection_never_changes_report_bytes() {
     }
 }
 
-/// Failure isolation survives batching: a chaos plan injecting panics
+/// Failure isolation survives caching: a chaos plan injecting panics
 /// into a deterministic subset of cells produces the same failures —
 /// and the same surviving rows, byte for byte — at any lane width.
-/// Fault-injected cells run single-lane without the shared cache, so a
-/// panicking cell can neither corrupt nor seed its neighbours.
+/// Fault-injected cells run without the shared cache, so a panicking
+/// cell can neither corrupt nor seed its neighbours.
 #[test]
 fn chaos_failure_isolation_is_lane_invariant() {
     let (spec, scenarios) =
