@@ -64,6 +64,45 @@ fn explore_report_is_byte_identical_across_runs() {
     );
 }
 
+/// The report bytes match the fingerprints the repository benchmark
+/// recorded (`perfbench/expected/explore.txt`: seed, then the
+/// fingerprint at budget 2 with default cores and fuel), so a drift in
+/// the report writer fails here before it fails a benchmark run.
+#[test]
+fn explore_fingerprints_match_the_benchmark_record() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/perfbench/expected/explore.txt"
+    );
+    let text = std::fs::read_to_string(path).expect("read the recorded fingerprints");
+    let recorded: Vec<(u64, &str)> = text
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| {
+            let (seed, fingerprint) = line.split_once(' ').expect("'<seed> <fingerprint>'");
+            (seed.parse().expect("numeric seed"), fingerprint)
+        })
+        .collect();
+    for seed in 0..3 {
+        let want = recorded
+            .iter()
+            .find(|(s, _)| *s == seed)
+            .map(|(_, f)| *f)
+            .expect("seed recorded");
+        let report = run_explore(&ExploreOptions {
+            seed,
+            budget: 2,
+            ..ExploreOptions::default()
+        })
+        .expect("explore runs");
+        assert_eq!(
+            format!("{:016x}", report.fingerprint()),
+            want,
+            "seed {seed}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Mutation-style negative tests: each oracle fires on broken input
 // ---------------------------------------------------------------------
