@@ -29,11 +29,10 @@ use helix_rc::experiment::{
     decoupling_lattice, sweep_core_count, ExperimentOptions, LatticePoint, FUEL,
 };
 use helix_rc::hcc::{compile, HccConfig};
-use helix_rc::report::json_escape;
+use helix_rc::json::Json;
 use helix_rc::sim::{simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, SimSession};
 use helix_rc::workloads::{cint_suite, Scale, Workload};
 use helix_rc::RunOptions;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
@@ -316,159 +315,135 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"harness\": \"bench_sim\",");
-    let _ = writeln!(json, "  \"scale\": \"Test\",");
-    let _ = writeln!(json, "  \"host_threads\": {threads},");
-    let _ = writeln!(json, "  \"reps_min_of\": {REPS},");
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"config\": \"{}\", \"cycles\": {}, \
-             \"naive_secs\": {:.6}, \"fast_secs\": {:.6}, \
-             \"naive_cycles_per_sec\": {:.0}, \"fast_cycles_per_sec\": {:.0}, \
-             \"speedup\": {:.3}}}",
-            json_escape(&r.name),
-            r.config,
-            r.cycles,
-            r.naive_secs,
-            r.fast_secs,
-            r.naive_cps(),
-            r.fast_cps(),
-            r.speedup()
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    let f3 = |v: f64| Json::fixed(v, 3);
+    let f6 = |v: f64| Json::fixed(v, 6);
+    let rate = |v: f64| Json::fixed(v, 0);
+    let workloads = rows
+        .iter()
+        .map(|r| {
+            Json::obj()
+                .with("name", &r.name)
+                .with("config", r.config)
+                .with("cycles", r.cycles)
+                .with("naive_secs", f6(r.naive_secs))
+                .with("fast_secs", f6(r.fast_secs))
+                .with("naive_cycles_per_sec", rate(r.naive_cps()))
+                .with("fast_cycles_per_sec", rate(r.fast_cps()))
+                .with("speedup", f3(r.speedup()))
+        })
+        .collect::<Vec<_>>();
     // Optional per-stall-cause breakdown of every helix-rc-16 run: the
     // ring-path profile (where each workload's cycles actually go),
     // straight from the simulator's Fig. 12 attribution counters.
-    if attribution {
-        let attr_rows: Vec<&WorkloadRow> =
-            rows.iter().filter(|r| r.config == "helix-rc-16").collect();
-        json.push_str("  \"attribution\": [\n");
-        for (i, r) in attr_rows.iter().enumerate() {
-            let buckets = r
-                .stall_cycles
-                .iter()
-                .map(|(label, cycles)| format!("\"{}\": {cycles}", json_escape(label)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                json,
-                "    {{\"name\": \"{}\", \"config\": \"helix-rc-16\", \"buckets\": {{{buckets}}}}}",
-                json_escape(&r.name)
-            );
-            json.push_str(if i + 1 < attr_rows.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ],\n");
-    }
+    let attribution_rows = attribution.then(|| {
+        rows.iter()
+            .filter(|r| r.config == "helix-rc-16")
+            .map(|r| {
+                let buckets = r
+                    .stall_cycles
+                    .iter()
+                    .map(|(label, cycles)| (label.to_string(), Json::from(*cycles)))
+                    .collect();
+                Json::obj()
+                    .with("name", &r.name)
+                    .with("config", "helix-rc-16")
+                    .with("buckets", Json::Obj(buckets))
+            })
+            .collect::<Vec<_>>()
+    });
     // Per-config fast-path throughput medians. The perf gate tracks
     // these (median-normalized) so a regression confined to one machine
     // shape — above all the dominant helix-rc configuration — cannot
     // hide behind healthy numbers elsewhere.
-    json.push_str("  \"config_medians\": {");
-    let configs = ["conventional-16", "helix-rc-16", "sequential-16"];
-    for (i, cfg) in configs.iter().enumerate() {
-        let m = median(
-            rows.iter()
-                .filter(|r| r.config == *cfg)
-                .map(|r| r.fast_cps())
-                .collect(),
-        );
-        let _ = write!(
-            json,
-            "{}\"{}\": {:.0}",
-            if i > 0 { ", " } else { "" },
-            cfg,
-            m
-        );
-    }
-    json.push_str("},\n");
+    let config_medians = ["conventional-16", "helix-rc-16", "sequential-16"]
+        .into_iter()
+        .map(|cfg| {
+            let m = median(
+                rows.iter()
+                    .filter(|r| r.config == cfg)
+                    .map(|r| r.fast_cps())
+                    .collect(),
+            );
+            (cfg.to_string(), rate(m))
+        })
+        .collect();
     // The `sim/cycles_per_sec` criterion bench scenario (175.vpr, HCCv3
-    // code on the conventional 16-core machine — Fig. 9's "C" bar):
-    // surfaced here so the before/after of the headline bench is tracked
-    // alongside the rest.
-    if let Some(r) = rows
-        .iter()
-        .find(|r| r.name == "175.vpr" && r.config == "conventional-16")
-    {
-        let _ = writeln!(
-            json,
-            "  \"criterion_sim_cycles_per_sec\": {{\"workload\": \"175.vpr\", \
-             \"config\": \"conventional-16\", \"before_cycles_per_sec\": {:.0}, \
-             \"after_cycles_per_sec\": {:.0}, \"speedup\": {:.3}}},",
-            r.naive_cps(),
-            r.fast_cps(),
-            r.speedup()
-        );
-    }
-    // The `sim/helix_rc_cycles_per_sec` criterion bench scenario
-    // (175.vpr on the HELIX-RC 16-core machine — the configuration
-    // every headline figure simulates): naive vs fast throughput.
-    if let Some(r) = rows
-        .iter()
-        .find(|r| r.name == "175.vpr" && r.config == "helix-rc-16")
-    {
-        let _ = writeln!(
-            json,
-            "  \"criterion_sim_helix_rc_cycles_per_sec\": {{\"workload\": \"175.vpr\", \
-             \"config\": \"helix-rc-16\", \"before_cycles_per_sec\": {:.0}, \
-             \"after_cycles_per_sec\": {:.0}, \"speedup\": {:.3}}},",
-            r.naive_cps(),
-            r.fast_cps(),
-            r.speedup()
-        );
-    }
+    // code on the conventional 16-core machine — Fig. 9's "C" bar) and
+    // the `sim/helix_rc_cycles_per_sec` one (175.vpr on the HELIX-RC
+    // 16-core machine — the configuration every headline figure
+    // simulates): naive vs fast throughput, surfaced here so the
+    // before/after of the headline benches is tracked alongside the
+    // rest.
+    let criterion = |config: &str| {
+        rows.iter()
+            .find(|r| r.name == "175.vpr" && r.config == config)
+            .map(|r| {
+                Json::obj()
+                    .with("workload", "175.vpr")
+                    .with("config", config)
+                    .with("before_cycles_per_sec", rate(r.naive_cps()))
+                    .with("after_cycles_per_sec", rate(r.fast_cps()))
+                    .with("speedup", f3(r.speedup()))
+            })
+    };
     // The `sim/session_drain` criterion bench scenario: a mixed batch
     // drained through one warm session vs the same runs standalone.
-    if let Some((standalone_secs, session_secs)) = drain {
-        let _ = writeln!(
-            json,
-            "  \"criterion_sim_session_drain\": {{\"workload\": \"175.vpr\", \
-             \"lanes\": 4, \"standalone_secs\": {:.6}, \"session_secs\": {:.6}, \
-             \"speedup\": {:.3}}},",
-            standalone_secs,
-            session_secs,
-            standalone_secs / session_secs
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  \"lattice_plus_sweep\": {{\"before_secs\": {:.6}, \"after_secs\": {:.6}, \"speedup\": {:.3}}},",
-        before_secs,
-        after_secs,
-        before_secs / after_secs
-    );
-    // Full-profile campaign wall-clock: per-cell tree interpreter
-    // (naive before) vs batched lanes (after), with the per-cell
-    // decoded time recorded so the dedup-only contribution is visible.
-    // The perf gate requires `speedup` >= 2.5x on every PR (an
-    // absolute floor calibrated to single-CPU hosts, where the naive
-    // baseline runs comparatively faster; see perf_gate.rs).
-    let _ = writeln!(
-        json,
-        "  \"campaign_full\": {{\"profile\": \"full\", \"scale\": \"Full\", \
-         \"before_secs\": {:.6}, \"percell_decoded_secs\": {:.6}, \"after_secs\": {:.6}, \
-         \"speedup\": {:.3}, \"dedup_speedup\": {:.3}}},",
-        cf_before,
-        cf_percell,
-        cf_after,
-        cf_before / cf_after,
-        cf_percell / cf_after
-    );
+    let session_drain = drain.map(|(standalone_secs, session_secs)| {
+        Json::obj()
+            .with("workload", "175.vpr")
+            .with("lanes", 4u64)
+            .with("standalone_secs", f6(standalone_secs))
+            .with("session_secs", f6(session_secs))
+            .with("speedup", f3(standalone_secs / session_secs))
+    });
     let total_naive: f64 = rows.iter().map(|r| r.naive_secs).sum();
     let total_fast: f64 = rows.iter().map(|r| r.fast_secs).sum();
-    let _ = writeln!(
-        json,
-        "  \"workload_totals\": {{\"naive_secs\": {:.6}, \"fast_secs\": {:.6}, \"speedup\": {:.3}}}",
-        total_naive,
-        total_fast,
-        total_naive / total_fast
-    );
-    json.push_str("}\n");
+    let json = Json::obj()
+        .with("harness", "bench_sim")
+        .with("scale", "Test")
+        .with("host_threads", threads)
+        .with("reps_min_of", REPS)
+        .with("workloads", workloads)
+        .with_opt("attribution", attribution_rows)
+        .with("config_medians", Json::Obj(config_medians))
+        .with_opt("criterion_sim_cycles_per_sec", criterion("conventional-16"))
+        .with_opt(
+            "criterion_sim_helix_rc_cycles_per_sec",
+            criterion("helix-rc-16"),
+        )
+        .with_opt("criterion_sim_session_drain", session_drain)
+        .with(
+            "lattice_plus_sweep",
+            Json::obj()
+                .with("before_secs", f6(before_secs))
+                .with("after_secs", f6(after_secs))
+                .with("speedup", f3(before_secs / after_secs)),
+        )
+        // Full-profile campaign wall-clock: per-cell tree interpreter
+        // (naive before) vs batched lanes (after), with the per-cell
+        // decoded time recorded so the dedup-only contribution is
+        // visible. The perf gate requires `speedup` >= 2.5x on every PR
+        // (an absolute floor calibrated to single-CPU hosts, where the
+        // naive baseline runs comparatively faster; see perf_gate.rs).
+        .with(
+            "campaign_full",
+            Json::obj()
+                .with("profile", "full")
+                .with("scale", "Full")
+                .with("before_secs", f6(cf_before))
+                .with("percell_decoded_secs", f6(cf_percell))
+                .with("after_secs", f6(cf_after))
+                .with("speedup", f3(cf_before / cf_after))
+                .with("dedup_speedup", f3(cf_percell / cf_after)),
+        )
+        .with(
+            "workload_totals",
+            Json::obj()
+                .with("naive_secs", f6(total_naive))
+                .with("fast_secs", f6(total_fast))
+                .with("speedup", f3(total_naive / total_fast)),
+        )
+        .document();
 
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("{json}");

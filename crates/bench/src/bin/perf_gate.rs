@@ -50,7 +50,7 @@
 //! resilient campaign runtime isolated instead of completing) fails the
 //! gate outright: a crashed or budget-blown cell is never a pass.
 
-use helix_rc::api::Json;
+use helix_rc::json::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

@@ -643,50 +643,3 @@ mod tests {
         fig03(Scale::Test).unwrap();
     }
 }
-
-/// Tests of the documents `perf_gate` reads, through the one JSON
-/// reader in the workspace ([`helix_rc::api::Json`]).
-#[cfg(test)]
-mod json {
-    mod tests {
-        use helix_rc::api::Json;
-
-        #[test]
-        fn parses_bench_shaped_documents() {
-            let doc = r#"{
-  "harness": "bench_sim",
-  "host_threads": 8,
-  "workloads": [
-    {"name": "175.vpr", "config": "conventional-16", "cycles": 156935,
-     "fast_cycles_per_sec": 1.234e7, "speedup": 5.31},
-    {"name": "164.gzip", "config": "helix-rc-16", "cycles": 1, "fast_cycles_per_sec": 2.0, "speedup": 1.0}
-  ],
-  "nested": {"ok": true, "missing": null}
-}"#;
-            let v = Json::parse(doc).unwrap();
-            assert_eq!(v.get("harness").unwrap().as_str(), Some("bench_sim"));
-            let ws = v.get("workloads").unwrap().as_array().unwrap();
-            assert_eq!(ws.len(), 2);
-            assert_eq!(
-                ws[0].get("fast_cycles_per_sec").unwrap().as_num(),
-                Some(1.234e7)
-            );
-            assert_eq!(v.get("host_threads").unwrap().as_u64(), Some(8));
-            assert_eq!(v.get("nested").unwrap().get("ok"), Some(&Json::Bool(true)));
-            assert_eq!(v.get("nested").unwrap().get("missing"), Some(&Json::Null));
-        }
-
-        #[test]
-        fn rejects_malformed_documents() {
-            for malformed in ["{", "{\"a\": }", "[1, 2,]", "{} extra"] {
-                assert!(Json::parse(malformed).is_err(), "{malformed}");
-            }
-        }
-
-        #[test]
-        fn string_escapes() {
-            let v = Json::parse(r#"{"s": "a\"b\\c\nd"}"#).unwrap();
-            assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\nd"));
-        }
-    }
-}

@@ -20,15 +20,16 @@
 //! Requests and responses serialize to single-line JSON objects with a
 //! `{"v": 1, "type": ...}` envelope ([`encode_request`] /
 //! [`decode_request`] / [`encode_response`] / [`decode_response`]),
-//! newline-delimited on the service socket. The vendored `serde` is
-//! inert, so this module carries its own small JSON reader/writer; see
-//! `docs/SERVICE.md` for the full schema.
+//! newline-delimited on the service socket. The lines are read and
+//! written by [`crate::json`]; see `docs/SERVICE.md` for the full
+//! schema.
 
 use crate::campaign::{load_campaign, run_campaign, CampaignReport, CampaignRunStats};
 use crate::error::{ErrorKind, HelixError};
 use crate::experiment::ExperimentOptions;
 use crate::explore::{run_explore, ExploreOptions, ExploreReport};
-use crate::report::{json_escape, SCHEMA_VERSION};
+use crate::json::Json;
+use crate::report::SCHEMA_VERSION;
 use crate::resilient::{fnv1a, FaultPlan, Journal, FNV_OFFSET};
 use crate::scenario::{run_scenario, ScenarioReport};
 use helix_workloads::{campaign_from_inline, generate, Scale, ScenarioSpec, MAX_CORES};
@@ -516,15 +517,10 @@ fn run_scenario_request(source: &SpecSource, options: &RunOptions) -> Result<Res
     })
 }
 
-/// Extract the `schema_version` stamp of a report document, if any.
+/// Extract the `schema_version` stamp of a report document, if it is
+/// one.
 fn schema_version_of(text: &str) -> Option<u64> {
-    let rest = text.split("\"schema_version\":").nth(1)?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    Json::parse(text).ok()?.get("schema_version")?.as_u64()
 }
 
 /// Compare two report documents. Schema versions are checked first: a
@@ -593,348 +589,31 @@ pub fn diff_reports(a_name: &str, a_text: &str, b_name: &str, b_text: &str) -> (
 /// Wire protocol version carried in every envelope.
 pub const WIRE_VERSION: u64 = 1;
 
-/// A parsed JSON value — the reader half of the wire codec, and the one
-/// JSON reader in the workspace (`perf_gate` reads `BENCH_*.json` and
-/// campaign reports with it). The vendored `serde` is inert, so this is
-/// a minimal strict recursive-descent implementation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (f64 carries all wire-relevant integers exactly).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse a complete JSON document. Errors are
-    /// [`ErrorKind::Protocol`] with a byte offset.
-    pub fn parse(text: &str) -> Result<Json, HelixError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Bool payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload as u64, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload as i64, if this is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    /// Array payload, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> HelixError {
-        HelixError::protocol(format!("invalid JSON at byte {}: {message}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), HelixError> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, HelixError> {
-        match self.bytes.get(self.pos) {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&b) => Err(self.err(&format!("unexpected byte 0x{b:02x}"))),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, HelixError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, HelixError> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-UTF-8 number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("malformed number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, HelixError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&unit) {
-                                if self.bytes.get(self.pos) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else if (0xdc00..0xe000).contains(&unit) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(unit).ok_or_else(|| self.err("invalid codepoint"))?
-                            };
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(&format!("invalid escape '\\{}'", other as char)))
-                        }
-                    }
-                }
-                Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("non-UTF-8 string content"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty char"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, HelixError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-UTF-8 \\u escape"))?;
-        let unit = u32::from_str_radix(text, 16).map_err(|_| self.err("malformed \\u escape"))?;
-        self.pos = end;
-        Ok(unit)
-    }
-
-    fn array(&mut self) -> Result<Json, HelixError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, HelixError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ", \"{key}\": \"{}\"", json_escape(value));
-}
-
-fn encode_options(options: &RunOptions) -> Result<String, HelixError> {
+fn encode_options(options: &RunOptions) -> Result<Json, HelixError> {
     if options.journal.is_some() || options.faults.is_some() || options.resume {
         return Err(HelixError::usage(
             "journal/resume/chaos options are local-execution only and cannot cross the wire \
              (the service owns its journal)",
         ));
     }
-    let mut out = String::from("{");
-    let mut first = true;
-    let mut field = |key: &str, value: String| {
-        let sep = if first { "" } else { ", " };
-        first = false;
-        format!("{sep}\"{key}\": {value}")
-    };
-    if let Some(scale) = options.scale {
-        out.push_str(&field(
-            "scale",
-            format!("\"{}\"", if scale == Scale::Full { "full" } else { "test" }),
-        ));
+    Ok(Json::obj()
+        .with_opt("scale", options.scale.map(scale_label))
+        .with_opt("cores", options.cores)
+        .with_opt("fuel", options.fuel)
+        .with_opt("max_retries", options.max_retries)
+        .with_opt("cycle_budget", options.cycle_budget)
+        .with_opt("wall_budget_ms", options.wall_budget_ms)
+        .with_opt("lanes", options.lanes)
+        .with_opt("attribution", options.attribution.then_some(true)))
+}
+
+/// The wire spelling of a scale.
+fn scale_label(scale: Scale) -> &'static str {
+    if scale == Scale::Full {
+        "full"
+    } else {
+        "test"
     }
-    if let Some(cores) = options.cores {
-        out.push_str(&field("cores", cores.to_string()));
-    }
-    if let Some(fuel) = options.fuel {
-        out.push_str(&field("fuel", fuel.to_string()));
-    }
-    if let Some(retries) = options.max_retries {
-        out.push_str(&field("max_retries", retries.to_string()));
-    }
-    if let Some(budget) = options.cycle_budget {
-        out.push_str(&field("cycle_budget", budget.to_string()));
-    }
-    if let Some(ms) = options.wall_budget_ms {
-        out.push_str(&field("wall_budget_ms", ms.to_string()));
-    }
-    if let Some(lanes) = options.lanes {
-        out.push_str(&field("lanes", lanes.to_string()));
-    }
-    if options.attribution {
-        out.push_str(&field("attribution", "true".into()));
-    }
-    out.push('}');
-    Ok(out)
 }
 
 fn decode_options(value: Option<&Json>) -> Result<RunOptions, HelixError> {
@@ -999,13 +678,12 @@ fn decode_options(value: Option<&Json>) -> Result<RunOptions, HelixError> {
 /// rejected with [`ErrorKind::Usage`]: the client must resolve files to
 /// inline payloads, and the service owns its own journal.
 pub fn encode_request(request: &Request) -> Result<String, HelixError> {
-    let mut out = format!("{{\"v\": {WIRE_VERSION}");
-    match request {
-        Request::RunScenario { source, options } => {
-            out.push_str(", \"type\": \"run_scenario\"");
-            push_str_field(&mut out, "spec", &source.inline_text()?);
-            let _ = write!(out, ", \"options\": {}", encode_options(options)?);
-        }
+    let out = Json::obj().with("v", WIRE_VERSION);
+    let out = match request {
+        Request::RunScenario { source, options } => out
+            .with("type", "run_scenario")
+            .with("spec", source.inline_text()?)
+            .with("options", encode_options(options)?),
         Request::RunCampaign { source, options } => {
             let (campaign, scenarios) = match source {
                 CampaignSource::Inline {
@@ -1019,40 +697,29 @@ pub fn encode_request(request: &Request) -> Result<String, HelixError> {
                     )))
                 }
             };
-            out.push_str(", \"type\": \"run_campaign\"");
-            push_str_field(&mut out, "campaign", campaign);
-            let items: Vec<String> = scenarios
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect();
-            let _ = write!(out, ", \"scenarios\": [{}]", items.join(", "));
-            let _ = write!(out, ", \"options\": {}", encode_options(options)?);
+            out.with("type", "run_campaign")
+                .with("campaign", campaign)
+                .with(
+                    "scenarios",
+                    scenarios.iter().map(Json::from).collect::<Vec<_>>(),
+                )
+                .with("options", encode_options(options)?)
         }
-        Request::Check { source, scale } => {
-            out.push_str(", \"type\": \"check\"");
-            push_str_field(&mut out, "spec", &source.inline_text()?);
-            push_str_field(
-                &mut out,
-                "scale",
-                if *scale == Scale::Full {
-                    "full"
-                } else {
-                    "test"
-                },
-            );
-        }
+        Request::Check { source, scale } => out
+            .with("type", "check")
+            .with("spec", source.inline_text()?)
+            .with("scale", scale_label(*scale)),
         Request::Diff {
             a_name,
             a_text,
             b_name,
             b_text,
-        } => {
-            out.push_str(", \"type\": \"diff\"");
-            push_str_field(&mut out, "a_name", a_name);
-            push_str_field(&mut out, "a_text", a_text);
-            push_str_field(&mut out, "b_name", b_name);
-            push_str_field(&mut out, "b_text", b_text);
-        }
+        } => out
+            .with("type", "diff")
+            .with("a_name", a_name)
+            .with("a_text", a_text)
+            .with("b_name", b_name)
+            .with("b_text", b_text),
         Request::Explore { options } => {
             if options.export_dir.is_some() {
                 return Err(HelixError::usage(
@@ -1060,18 +727,16 @@ pub fn encode_request(request: &Request) -> Result<String, HelixError> {
                      the wire (the report JSON already embeds every shrunk TOML)",
                 ));
             }
-            out.push_str(", \"type\": \"explore\"");
-            let _ = write!(
-                out,
-                ", \"seed\": {}, \"budget\": {}, \"cores\": {}, \"fuel\": {}",
-                options.seed, options.budget, options.cores, options.fuel
-            );
+            out.with("type", "explore")
+                .with("seed", options.seed)
+                .with("budget", options.budget)
+                .with("cores", options.cores)
+                .with("fuel", options.fuel)
         }
-        Request::Status => out.push_str(", \"type\": \"status\""),
-        Request::Shutdown => out.push_str(", \"type\": \"shutdown\""),
-    }
-    out.push('}');
-    Ok(out)
+        Request::Status => out.with("type", "status"),
+        Request::Shutdown => out.with("type", "shutdown"),
+    };
+    Ok(out.line())
 }
 
 fn envelope(line: &str) -> Result<Json, HelixError> {
@@ -1090,6 +755,20 @@ fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, HelixError> {
         .get(key)
         .and_then(Json::as_str)
         .ok_or_else(|| HelixError::protocol(format!("missing or non-string field '{key}'")))
+}
+
+fn u64_field(value: &Json, key: &str) -> Result<u64, HelixError> {
+    value
+        .get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| HelixError::protocol(format!("missing or non-integer field '{key}'")))
+}
+
+fn bool_field(value: &Json, key: &str) -> Result<bool, HelixError> {
+    value
+        .get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| HelixError::protocol(format!("missing or non-bool field '{key}'")))
 }
 
 /// Parse one wire line into a typed [`Request`].
@@ -1141,13 +820,11 @@ pub fn decode_request(line: &str) -> Result<Request, HelixError> {
         }),
         "explore" => {
             let defaults = ExploreOptions::default();
-            let int_of = |key: &str, fallback: u64| -> Result<u64, HelixError> {
-                match value.get(key) {
-                    None => Ok(fallback),
-                    Some(v) => v.as_u64().ok_or_else(|| {
-                        HelixError::protocol(format!("'{key}' must be a non-negative integer"))
-                    }),
-                }
+            let int_of = |key: &str, fallback: u64| match value.get(key) {
+                None => Ok(fallback),
+                Some(v) => v.as_u64().ok_or_else(|| {
+                    HelixError::protocol(format!("'{key}' must be a non-negative integer"))
+                }),
             };
             Ok(Request::Explore {
                 options: ExploreOptions {
@@ -1167,27 +844,19 @@ pub fn decode_request(line: &str) -> Result<Request, HelixError> {
     }
 }
 
-fn encode_stats(stats: &CampaignRunStats) -> String {
-    format!(
-        "{{\"cells\": {}, \"journal_hits\": {}, \"simulated\": {}, \"failed\": {}, \
-         \"derived_hits\": {}, \"derived_computed\": {}}}",
-        stats.cells,
-        stats.journal_hits,
-        stats.simulated,
-        stats.failed,
-        stats.derived_hits,
-        stats.derived_computed
-    )
+fn encode_stats(stats: &CampaignRunStats) -> Json {
+    Json::obj()
+        .with("cells", stats.cells)
+        .with("journal_hits", stats.journal_hits)
+        .with("simulated", stats.simulated)
+        .with("failed", stats.failed)
+        .with("derived_hits", stats.derived_hits)
+        .with("derived_computed", stats.derived_computed)
 }
 
 fn decode_stats(value: Option<&Json>) -> Result<CampaignRunStats, HelixError> {
     let obj = value.ok_or_else(|| HelixError::protocol("missing field 'stats'"))?;
-    let count = |key: &str| {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .map(|v| v as usize)
-            .ok_or_else(|| HelixError::protocol(format!("missing or non-integer stats.{key}")))
-    };
+    let count = |key: &str| u64_field(obj, key).map(|v| v as usize);
     Ok(CampaignRunStats {
         cells: count("cells")?,
         journal_hits: count("journal_hits")?,
@@ -1202,76 +871,56 @@ fn decode_stats(value: Option<&Json>) -> Result<CampaignRunStats, HelixError> {
 /// reports do not cross the wire — the report JSON string carries the
 /// data; [`decode_response`] yields `report: None`.
 pub fn encode_response(response: &Response) -> String {
-    let mut out = format!("{{\"v\": {WIRE_VERSION}");
-    match response {
-        Response::Scenario { json, cached, .. } => {
-            out.push_str(", \"type\": \"scenario\"");
-            push_str_field(&mut out, "json", json);
-            let _ = write!(out, ", \"cached\": {cached}");
-        }
+    let out = Json::obj().with("v", WIRE_VERSION);
+    let out = match response {
+        Response::Scenario { json, cached, .. } => out
+            .with("type", "scenario")
+            .with("json", json)
+            .with("cached", *cached),
         Response::Campaign {
             json, table, stats, ..
-        } => {
-            out.push_str(", \"type\": \"campaign\"");
-            push_str_field(&mut out, "json", json);
-            push_str_field(&mut out, "table", table);
-            let _ = write!(out, ", \"stats\": {}", encode_stats(stats));
-        }
+        } => out
+            .with("type", "campaign")
+            .with("json", json)
+            .with("table", table)
+            .with("stats", encode_stats(stats)),
         Response::Checked {
             name,
             regions,
             phases,
             insts,
-        } => {
-            out.push_str(", \"type\": \"checked\"");
-            push_str_field(&mut out, "name", name);
-            let _ = write!(
-                out,
-                ", \"regions\": {regions}, \"phases\": {phases}, \"insts\": {insts}"
-            );
-        }
-        Response::Diff { identical, detail } => {
-            out.push_str(", \"type\": \"diff\"");
-            let _ = write!(out, ", \"identical\": {identical}");
-            push_str_field(&mut out, "detail", detail);
-        }
-        Response::Explore { json, failures, .. } => {
-            out.push_str(", \"type\": \"explore\"");
-            push_str_field(&mut out, "json", json);
-            let _ = write!(out, ", \"failures\": {failures}");
-        }
-        Response::Status(status) => {
-            out.push_str(", \"type\": \"status\"");
-            let _ = write!(
-                out,
-                ", \"workers\": {}, \"requests\": {}, \"inflight\": {}, \"cells\": {}, \
-                 \"journal_hits\": {}, \"simulated\": {}",
-                status.workers,
-                status.requests,
-                status.inflight,
-                status.cells,
-                status.journal_hits,
-                status.simulated
-            );
-        }
-        Response::ShuttingDown => out.push_str(", \"type\": \"shutting_down\""),
-        Response::Error(e) => {
-            out.push_str(", \"type\": \"error\"");
-            push_str_field(&mut out, "code", e.kind.code());
-            push_str_field(&mut out, "message", &e.message);
-            if let Some(file) = &e.file {
-                push_str_field(&mut out, "file", file);
-            }
-            if let Some(field) = &e.field {
-                push_str_field(&mut out, "field", field);
-            }
-            if let Some(value) = &e.value {
-                push_str_field(&mut out, "value", value);
-            }
-        }
-    }
-    out.push('}');
-    out
+        } => out
+            .with("type", "checked")
+            .with("name", name)
+            .with("regions", *regions)
+            .with("phases", *phases)
+            .with("insts", *insts),
+        Response::Diff { identical, detail } => out
+            .with("type", "diff")
+            .with("identical", *identical)
+            .with("detail", detail),
+        Response::Explore { json, failures, .. } => out
+            .with("type", "explore")
+            .with("json", json)
+            .with("failures", *failures),
+        Response::Status(status) => out
+            .with("type", "status")
+            .with("workers", status.workers)
+            .with("requests", status.requests)
+            .with("inflight", status.inflight)
+            .with("cells", status.cells)
+            .with("journal_hits", status.journal_hits)
+            .with("simulated", status.simulated),
+        Response::ShuttingDown => out.with("type", "shutting_down"),
+        Response::Error(e) => out
+            .with("type", "error")
+            .with("code", e.kind.code())
+            .with("message", &e.message)
+            .with_opt("file", e.file.as_ref())
+            .with_opt("field", e.field.as_ref())
+            .with_opt("value", e.value.as_ref()),
+    };
+    out.line()
 }
 
 /// Parse one wire line into a typed [`Response`]. Structured reports
@@ -1283,10 +932,7 @@ pub fn decode_response(line: &str) -> Result<Response, HelixError> {
     match kind {
         "scenario" => Ok(Response::Scenario {
             json: str_field(&value, "json")?.to_string(),
-            cached: value
-                .get("cached")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| HelixError::protocol("missing or non-bool field 'cached'"))?,
+            cached: bool_field(&value, "cached")?,
             report: None,
         }),
         "campaign" => Ok(Response::Campaign {
@@ -1295,70 +941,42 @@ pub fn decode_response(line: &str) -> Result<Response, HelixError> {
             stats: decode_stats(value.get("stats"))?,
             report: None,
         }),
-        "checked" => {
-            let count = |key: &str| {
-                value
-                    .get(key)
-                    .and_then(Json::as_u64)
-                    .map(|v| v as usize)
-                    .ok_or_else(|| {
-                        HelixError::protocol(format!("missing or non-integer field '{key}'"))
-                    })
-            };
-            Ok(Response::Checked {
-                name: str_field(&value, "name")?.to_string(),
-                regions: count("regions")?,
-                phases: count("phases")?,
-                insts: count("insts")?,
-            })
-        }
+        "checked" => Ok(Response::Checked {
+            name: str_field(&value, "name")?.to_string(),
+            regions: u64_field(&value, "regions")? as usize,
+            phases: u64_field(&value, "phases")? as usize,
+            insts: u64_field(&value, "insts")? as usize,
+        }),
         "diff" => Ok(Response::Diff {
-            identical: value
-                .get("identical")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| HelixError::protocol("missing or non-bool field 'identical'"))?,
+            identical: bool_field(&value, "identical")?,
             detail: str_field(&value, "detail")?.to_string(),
         }),
         "explore" => Ok(Response::Explore {
             json: str_field(&value, "json")?.to_string(),
-            failures: value
-                .get("failures")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| HelixError::protocol("missing or non-integer field 'failures'"))?
-                as usize,
+            failures: u64_field(&value, "failures")? as usize,
             report: None,
         }),
-        "status" => {
-            let count = |key: &str| {
-                value.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                    HelixError::protocol(format!("missing or non-integer field '{key}'"))
-                })
-            };
-            Ok(Response::Status(ServiceStatus {
-                workers: count("workers")? as usize,
-                requests: count("requests")?,
-                inflight: count("inflight")?,
-                cells: count("cells")?,
-                journal_hits: count("journal_hits")?,
-                simulated: count("simulated")?,
-            }))
-        }
+        "status" => Ok(Response::Status(ServiceStatus {
+            workers: u64_field(&value, "workers")? as usize,
+            requests: u64_field(&value, "requests")?,
+            inflight: u64_field(&value, "inflight")?,
+            cells: u64_field(&value, "cells")?,
+            journal_hits: u64_field(&value, "journal_hits")?,
+            simulated: u64_field(&value, "simulated")?,
+        })),
         "shutting_down" => Ok(Response::ShuttingDown),
         "error" => {
             let code = str_field(&value, "code")?;
             let kind = ErrorKind::from_code(code)
                 .ok_or_else(|| HelixError::protocol(format!("unknown error code '{code}'")))?;
-            let mut e = HelixError::new(kind, str_field(&value, "message")?);
-            if let Some(file) = value.get("file").and_then(Json::as_str) {
-                e = e.with_file(file);
-            }
-            if let Some(field) = value.get("field").and_then(Json::as_str) {
-                e = e.with_field(field);
-            }
-            if let Some(v) = value.get("value").and_then(Json::as_str) {
-                e = e.with_value(v);
-            }
-            Ok(Response::Error(e))
+            let context = |key: &str| value.get(key).and_then(Json::as_str).map(str::to_string);
+            Ok(Response::Error(HelixError {
+                kind,
+                message: str_field(&value, "message")?.to_string(),
+                file: context("file"),
+                field: context("field"),
+                value: context("value"),
+            }))
         }
         other => Err(HelixError::protocol(format!(
             "unknown response type '{other}'"
@@ -1381,28 +999,6 @@ pub fn inline_campaign_source(path: &Path) -> Result<CampaignSource, HelixError>
 mod tests {
     use super::*;
     use helix_workloads::builtin_spec;
-
-    #[test]
-    fn json_parser_roundtrips_the_hard_cases() {
-        let doc = r#"{"a": [1, -2.5, 1e3], "s": "tab\t\"q\" é 😀", "n": null, "b": [true, false], "o": {}}"#;
-        let v = Json::parse(doc).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("s").unwrap().as_str().unwrap(), "tab\t\"q\" é 😀");
-        assert_eq!(v.get("n"), Some(&Json::Null));
-        assert_eq!(
-            v.get("b").unwrap().as_array().unwrap()[0].as_bool(),
-            Some(true)
-        );
-        let s = Json::parse(r#"{"s": "a\"b\\c\nd\u00e9\/"}"#).unwrap();
-        assert_eq!(s.get("s").unwrap().as_str(), Some("a\"b\\c\nd\u{e9}/"));
-
-        for malformed in ["{\"open\": ", "[1, 2,]", "nope", "\"\\q\""] {
-            let e = Json::parse(malformed).unwrap_err();
-            assert_eq!(e.kind, ErrorKind::Protocol, "{malformed}");
-        }
-        let e = Json::parse("{]").unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Protocol);
-    }
 
     #[test]
     fn request_wire_roundtrip() {
@@ -1432,6 +1028,19 @@ mod tests {
             assert_eq!(
                 decode_request(&encode_request(&simple).unwrap()).unwrap(),
                 simple
+            );
+        }
+        // Integers above 2^53 cross the wire exactly, not through f64.
+        for seed in [9_007_199_254_740_993, 12_345_678_901_234_567_891] {
+            let explore = Request::Explore {
+                options: ExploreOptions {
+                    seed,
+                    ..ExploreOptions::default()
+                },
+            };
+            assert_eq!(
+                decode_request(&encode_request(&explore).unwrap()).unwrap(),
+                explore
             );
         }
     }
@@ -1576,6 +1185,23 @@ mod tests {
                 },
             }
         );
+        // Seeds past 2^53 are exact; a number not written as an integer
+        // is refused, not rounded or saturated.
+        for seed in [9_007_199_254_740_993u64, 12_345_678_901_234_567_891] {
+            let line = format!("{{\"v\": 1, \"type\": \"explore\", \"seed\": {seed}}}");
+            match decode_request(&line).unwrap() {
+                Request::Explore { options } => assert_eq!(options.seed, seed),
+                other => panic!("expected Explore, got {other:?}"),
+            }
+        }
+        for line in [
+            r#"{"v": 1, "type": "explore", "fuel": 1.5e3}"#,
+            r#"{"v": 1, "type": "explore", "seed": 1e300}"#,
+            r#"{"v": 1, "type": "run_scenario", "spec": "", "options": {"fuel": 1.5e3}}"#,
+        ] {
+            let err = decode_request(line).expect_err(line);
+            assert_eq!(err.kind.code(), "E_PROTOCOL", "{line}: {err}");
+        }
     }
 
     #[test]

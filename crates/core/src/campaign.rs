@@ -18,7 +18,7 @@ use crate::experiment::{
     node_memory_settings, overhead_breakdown, signal_bandwidth_settings, sweep_core_count,
     sweep_ring, CompilerGenerations, ExpError, ExperimentOptions, FUEL,
 };
-use crate::report::json_escape as esc;
+use crate::json::Json;
 use crate::resilient::{
     cell_fuel, fnv1a, run_cell_resilient, CellFailure, Fault, Journal, FNV_OFFSET,
 };
@@ -155,134 +155,71 @@ impl CampaignReport {
     /// Render as a deterministic JSON document (no wall-clock fields:
     /// two runs of the same campaign + seed are byte-identical).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"harness\": \"campaign\",");
-        let _ = writeln!(
-            out,
-            "  \"schema_version\": {},",
-            crate::report::SCHEMA_VERSION
-        );
-        let _ = writeln!(out, "  \"name\": \"{}\",", esc(&self.name));
-        let _ = writeln!(out, "  \"description\": \"{}\",", esc(&self.description));
-        let _ = writeln!(out, "  \"scale\": \"{}\",", esc(&self.scale));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let names: Vec<String> = self
-            .scenarios
-            .iter()
-            .map(|n| format!("\"{}\"", esc(n)))
-            .collect();
-        let _ = writeln!(out, "  \"scenarios\": [{}],", names.join(", "));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"kind\": \"{}\", \"experiment\": \"{}\", \
-                 \"cores\": {}",
-                esc(&row.scenario),
-                esc(&row.kind),
-                esc(&row.experiment),
-                row.cores
-            );
-            if let Some(s) = row.helix_speedup {
-                let _ = write!(out, ", \"helix_speedup\": {s:.4}");
-            }
-            if let Some(s) = row.paper_speedup {
-                let _ = write!(out, ", \"paper_speedup\": {s:.4}");
-            }
-            if let Some(c) = row.seq_cycles {
-                let _ = write!(out, ", \"seq_cycles\": {c}");
-            }
-            if let Some(c) = row.helix_cycles {
-                let _ = write!(out, ", \"helix_cycles\": {c}");
-            }
-            if let Some(f) = row.comm_frac {
-                let _ = write!(out, ", \"comm_frac\": {f:.4}");
-            }
-            if let Some(o) = row.overheads {
-                let cells: Vec<String> = o.iter().map(|v| format!("{v:.4}")).collect();
-                let _ = write!(out, ", \"overheads\": [{}]", cells.join(", "));
-            }
-            let points: Vec<String> = row
+        let f4 = |v: f64| Json::fixed(v, 4);
+        let row = |row: &CampaignRow| {
+            let points = row
                 .points
                 .iter()
-                .map(|(label, value)| {
-                    format!("{{\"label\": \"{}\", \"value\": {value:.4}}}", esc(label))
-                })
-                .collect();
-            let _ = write!(out, ", \"points\": [{}]}}", points.join(", "));
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]");
-        if !self.derived.is_empty() {
-            out.push_str(",\n  \"derived\": [\n");
-            for (i, d) in self.derived.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    {{\"scenario\": \"{}\", \"kind\": \"{}\", \"cores\": {}, \
-                     \"coverage\": {:.4}, \"speedup\": {:.4}, \"amdahl_bound\": {:.4}, \
-                     \"bound_frac\": {:.4}",
-                    esc(&d.scenario),
-                    esc(&d.kind),
-                    d.cores,
-                    d.coverage,
-                    d.speedup,
-                    d.amdahl_bound,
-                    d.bound_frac
-                );
-                if !d.nests.is_empty() {
-                    let nests: Vec<String> = d
-                        .nests
-                        .iter()
-                        .map(|nest| {
-                            format!(
-                                "{{\"name\": \"{}\", \"weight\": {:.4}, \"glue_weight\": {:.4}, \
-                                 \"coverage\": {:.4}, \"program_coverage\": {:.4}, \
-                                 \"plans\": {}, \"speedup\": {:.4}}}",
-                                esc(&nest.name),
-                                nest.weight,
-                                nest.glue_weight,
-                                nest.coverage,
-                                nest.program_coverage,
-                                nest.plans,
-                                nest.speedup
-                            )
-                        })
-                        .collect();
-                    let _ = write!(out, ", \"nests\": [{}]", nests.join(", "));
-                }
-                out.push('}');
-                out.push_str(if i + 1 < self.derived.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]");
-        }
-        if !self.failures.is_empty() {
-            out.push_str(",\n  \"failures\": [\n");
-            for (i, f) in self.failures.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    {{\"scenario\": \"{}\", \"experiment\": \"{}\", \"cores\": {}, \
-                     \"kind\": \"{}\", \"retries\": {}, \"message\": \"{}\"}}",
-                    esc(&f.scenario),
-                    esc(&f.experiment),
-                    f.cores,
-                    f.kind.render(),
-                    f.retries,
-                    esc(&f.message)
-                );
-                out.push_str(if i + 1 < self.failures.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]");
-        }
-        out.push_str("\n}\n");
-        out
+                .map(|(label, value)| Json::obj().with("label", label).with("value", f4(*value)))
+                .collect::<Vec<_>>();
+            Json::obj()
+                .with("scenario", &row.scenario)
+                .with("kind", &row.kind)
+                .with("experiment", &row.experiment)
+                .with("cores", row.cores)
+                .with_opt("helix_speedup", row.helix_speedup.map(f4))
+                .with_opt("paper_speedup", row.paper_speedup.map(f4))
+                .with_opt("seq_cycles", row.seq_cycles)
+                .with_opt("helix_cycles", row.helix_cycles)
+                .with_opt("comm_frac", row.comm_frac.map(f4))
+                .with_opt("overheads", row.overheads.map(|o| o.map(f4).to_vec()))
+                .with("points", points)
+        };
+        let nest = |nest: &DerivedNestRow| {
+            Json::obj()
+                .with("name", &nest.name)
+                .with("weight", f4(nest.weight))
+                .with("glue_weight", f4(nest.glue_weight))
+                .with("coverage", f4(nest.coverage))
+                .with("program_coverage", f4(nest.program_coverage))
+                .with("plans", nest.plans)
+                .with("speedup", f4(nest.speedup))
+        };
+        let derived = |d: &DerivedRow| {
+            Json::obj()
+                .with("scenario", &d.scenario)
+                .with("kind", &d.kind)
+                .with("cores", d.cores)
+                .with("coverage", f4(d.coverage))
+                .with("speedup", f4(d.speedup))
+                .with("amdahl_bound", f4(d.amdahl_bound))
+                .with("bound_frac", f4(d.bound_frac))
+                .with_nonempty("nests", d.nests.iter().map(nest).collect())
+        };
+        let failure = |f: &CellFailure| {
+            Json::obj()
+                .with("scenario", &f.scenario)
+                .with("experiment", &f.experiment)
+                .with("cores", f.cores)
+                .with("kind", f.kind.render())
+                .with("retries", f.retries)
+                .with("message", &f.message)
+        };
+        Json::obj()
+            .with("harness", "campaign")
+            .with("schema_version", crate::report::SCHEMA_VERSION)
+            .with("name", &self.name)
+            .with("description", &self.description)
+            .with("scale", &self.scale)
+            .with("seed", self.seed)
+            .with(
+                "scenarios",
+                self.scenarios.iter().map(Json::from).collect::<Vec<_>>(),
+            )
+            .with("rows", self.rows.iter().map(row).collect::<Vec<_>>())
+            .with_nonempty("derived", self.derived.iter().map(derived).collect())
+            .with_nonempty("failures", self.failures.iter().map(failure).collect())
+            .document()
     }
 
     /// Render paper-style text tables: one table per (experiment, core

@@ -40,7 +40,7 @@
 
 use crate::error::HelixError;
 use crate::experiment::comm_frac;
-use crate::report::json_escape;
+use crate::json::Json;
 use crate::resilient::{fnv1a, FNV_OFFSET};
 use crate::scenario::{nest_rows, NestRow};
 use helix_hcc::{compile, HccConfig};
@@ -50,7 +50,6 @@ use helix_sim::{
 };
 use helix_workloads::spec::{CompilerGen, OpSpec, PhaseSpec};
 use helix_workloads::{generate, Scale, ScenarioSpec, SpecGen, MAX_CORES};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Relative slack allowed before the amdahl-bound oracle fires:
@@ -214,87 +213,56 @@ impl ExploreReport {
     /// byte-identical output: no wall-clock, no environment, fixed
     /// float formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"budget\": {},", self.budget);
-        let _ = writeln!(out, "  \"cores\": {},", self.cores);
-        let _ = writeln!(out, "  \"fuel\": {},", self.fuel);
-        let _ = writeln!(out, "  \"specs_run\": {},", self.specs_run);
-        let _ = writeln!(out, "  \"oracle_checks\": {},", self.oracle_checks);
-        out.push_str("  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"index\": {}, \"spec\": \"{}\", \"oracle\": \"{}\", \
-                 \"detail\": \"{}\", \"shrunk_toml\": \"{}\"}}",
-                f.index,
-                json_escape(&f.spec),
-                f.oracle,
-                json_escape(&f.detail),
-                json_escape(&f.shrunk_toml)
-            );
-        }
-        out.push_str(if self.failures.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"frontier\": {\n");
-        let hit = |out: &mut String, key: &str, h: &Option<FrontierHit>, comma: bool| {
-            let tail = if comma { "," } else { "" };
-            match h {
-                Some(h) => {
-                    let _ = writeln!(
-                        out,
-                        "    \"{key}\": {{\"index\": {}, \"spec\": \"{}\", \
-                         \"value\": {:.6}, \"toml\": \"{}\"}}{tail}",
-                        h.index,
-                        json_escape(&h.spec),
-                        h.value,
-                        json_escape(&h.toml)
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "    \"{key}\": null{tail}");
-                }
-            }
+        let finding = |f: &Finding| {
+            Json::obj()
+                .with("index", f.index)
+                .with("spec", &f.spec)
+                .with("oracle", f.oracle)
+                .with("detail", &f.detail)
+                .with("shrunk_toml", &f.shrunk_toml)
         };
-        hit(
-            &mut out,
-            "min_bound_frac",
-            &self.frontier.min_bound_frac,
-            true,
-        );
-        hit(
-            &mut out,
-            "max_comm_frac",
-            &self.frontier.max_comm_frac,
-            true,
-        );
-        out.push_str("    \"inversions\": [");
-        for (i, inv) in self.frontier.inversions.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "      {{\"index\": {}, \"spec\": \"{}\", \"v1\": {:.4}, \
-                 \"v2\": {:.4}, \"helix_rc\": {:.4}, \"toml\": \"{}\"}}",
-                inv.index,
-                json_escape(&inv.spec),
-                inv.v1,
-                inv.v2,
-                inv.helix_rc,
-                json_escape(&inv.toml)
+        let hit = |h: &Option<FrontierHit>| {
+            h.as_ref().map(|h| {
+                Json::obj()
+                    .with("index", h.index)
+                    .with("spec", &h.spec)
+                    .with("value", Json::fixed(h.value, 6))
+                    .with("toml", &h.toml)
+            })
+        };
+        let inversion = |inv: &InversionHit| {
+            Json::obj()
+                .with("index", inv.index)
+                .with("spec", &inv.spec)
+                .with("v1", Json::fixed(inv.v1, 4))
+                .with("v2", Json::fixed(inv.v2, 4))
+                .with("helix_rc", Json::fixed(inv.helix_rc, 4))
+                .with("toml", &inv.toml)
+        };
+        let frontier = Json::obj()
+            .with("min_bound_frac", hit(&self.frontier.min_bound_frac))
+            .with("max_comm_frac", hit(&self.frontier.max_comm_frac))
+            .with(
+                "inversions",
+                self.frontier
+                    .inversions
+                    .iter()
+                    .map(inversion)
+                    .collect::<Vec<_>>(),
             );
-        }
-        out.push_str(if self.frontier.inversions.is_empty() {
-            "]\n"
-        } else {
-            "\n    ]\n"
-        });
-        out.push_str("  }\n}\n");
-        out
+        Json::obj()
+            .with("seed", self.seed)
+            .with("budget", self.budget)
+            .with("cores", self.cores)
+            .with("fuel", self.fuel)
+            .with("specs_run", self.specs_run)
+            .with("oracle_checks", self.oracle_checks)
+            .with(
+                "failures",
+                self.failures.iter().map(finding).collect::<Vec<_>>(),
+            )
+            .with("frontier", frontier)
+            .document()
     }
 
     /// FNV-1a digest of the JSON document.

@@ -32,6 +32,8 @@
 //! * [`service`] — `helix serve`: a resident campaign service on a
 //!   Unix-domain socket with a bounded worker pool, single-flight
 //!   dedup, and journal-hit answers for repeat submissions;
+//! * [`json`] — the one JSON value type, its parser, and the line
+//!   (wire) and document (report) renderers every writer goes through;
 //! * [`explore`] — `helix explore`: seed-deterministic scenario
 //!   fuzzing through a battery of differential oracles (engine
 //!   agreement, fast-forward exactness, lane invariance, coverage
@@ -60,6 +62,7 @@ pub mod campaign;
 pub mod error;
 pub mod experiment;
 pub mod explore;
+pub mod json;
 pub mod related;
 pub mod report;
 pub mod resilient;

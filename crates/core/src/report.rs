@@ -57,26 +57,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Escape a string for embedding in the hand-rolled JSON reports
-/// (scenario reports, campaign reports, `bench_sim`): backslash, quote,
-/// and control characters. One definition so every emitter stays in
-/// sync with the reader, [`crate::api::Json`].
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format a fraction as a percentage string.
 pub fn pct(f: f64) -> String {
     format!("{:.1}%", 100.0 * f)

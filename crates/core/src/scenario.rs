@@ -7,6 +7,7 @@
 use crate::api::RunOptions;
 use crate::error::{ErrorKind, HelixError};
 use crate::experiment::{check, ExpError};
+use crate::json::Json;
 use helix_hcc::{compile, CompiledProgram, HccConfig};
 use helix_sim::{simulate, simulate_sequential, Bucket, MachineConfig, RunReport};
 use helix_workloads::spec::{CompilerGen, MachineKind};
@@ -134,88 +135,53 @@ impl ScenarioReport {
 
     /// Render as a JSON document.
     pub fn to_json(&self) -> String {
-        use crate::report::json_escape as esc;
-        fn rows(out: &mut String, name: &str, rows: &[RunRow]) {
-            out.push_str(&format!("  \"{name}\": [\n"));
-            for (i, r) in rows.iter().enumerate() {
-                let speedup = r
-                    .speedup_vs_sequential
-                    .map(|s| format!(", \"speedup_vs_sequential\": {s:.3}"))
-                    .unwrap_or_default();
-                let attribution = r
-                    .attribution
-                    .as_ref()
-                    .map(|buckets| {
-                        let body = buckets
-                            .iter()
-                            .map(|(label, cycles)| format!("\"{}\": {cycles}", esc(label)))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        format!(", \"attribution\": {{{body}}}")
-                    })
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "    {{\"config\": \"{}\", \"cycles\": {}, \"dyn_insts\": {}, \
-                     \"mem_digest\": {}, \"wall_secs\": {:.6}, \"cycles_per_sec\": {:.0}{}{}}}",
-                    esc(&r.config),
-                    r.cycles,
-                    r.dyn_insts,
-                    r.mem_digest,
-                    r.wall_secs,
-                    r.cycles_per_sec(),
-                    speedup,
-                    attribution
-                ));
-                out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("  ]");
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"harness\": \"helix\",");
-        let _ = writeln!(
-            out,
-            "  \"schema_version\": {},",
-            crate::report::SCHEMA_VERSION
-        );
-        let _ = writeln!(out, "  \"name\": \"{}\",", esc(&self.scenario));
-        let _ = writeln!(out, "  \"kind\": \"{}\",", self.kind);
-        let _ = writeln!(out, "  \"scale\": \"{}\",", self.scale);
-        let _ = writeln!(out, "  \"cores\": {},", self.cores);
-        let _ = writeln!(out, "  \"compiler\": \"{}\",", self.compiler);
-        let _ = writeln!(out, "  \"coverage\": {:.4},", self.coverage);
-        let _ = writeln!(out, "  \"plans\": {},", self.plans);
-        rows(&mut out, "runs", &self.runs);
-        if !self.sweep.is_empty() {
-            out.push_str(",\n");
-            rows(&mut out, "sweep", &self.sweep);
-        }
-        if !self.nests.is_empty() {
-            out.push_str(",\n  \"nests\": [\n");
-            for (i, nest) in self.nests.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"weight\": {:.4}, \"glue_weight\": {:.4}, \
-                     \"coverage\": {:.4}, \"plans\": {}, \"seq_cycles\": {}, \
-                     \"helix_cycles\": {}, \"speedup\": {:.3}}}",
-                    esc(&nest.name),
-                    nest.weight,
-                    nest.glue_weight,
-                    nest.coverage,
-                    nest.plans,
-                    nest.seq_cycles,
-                    nest.helix_cycles,
-                    nest.speedup
-                ));
-                out.push_str(if i + 1 < self.nests.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]");
-        }
-        out.push('\n');
-        out.push_str("}\n");
-        out
+        let row = |r: &RunRow| {
+            let attribution = r.attribution.as_ref().map(|buckets| {
+                Json::Obj(
+                    buckets
+                        .iter()
+                        .map(|(label, cycles)| (label.to_string(), Json::from(*cycles)))
+                        .collect(),
+                )
+            });
+            Json::obj()
+                .with("config", &r.config)
+                .with("cycles", r.cycles)
+                .with("dyn_insts", r.dyn_insts)
+                .with("mem_digest", r.mem_digest)
+                .with("wall_secs", Json::fixed(r.wall_secs, 6))
+                .with("cycles_per_sec", Json::fixed(r.cycles_per_sec(), 0))
+                .with_opt(
+                    "speedup_vs_sequential",
+                    r.speedup_vs_sequential.map(|s| Json::fixed(s, 3)),
+                )
+                .with_opt("attribution", attribution)
+        };
+        let nest = |nest: &NestRow| {
+            Json::obj()
+                .with("name", &nest.name)
+                .with("weight", Json::fixed(nest.weight, 4))
+                .with("glue_weight", Json::fixed(nest.glue_weight, 4))
+                .with("coverage", Json::fixed(nest.coverage, 4))
+                .with("plans", nest.plans)
+                .with("seq_cycles", nest.seq_cycles)
+                .with("helix_cycles", nest.helix_cycles)
+                .with("speedup", Json::fixed(nest.speedup, 3))
+        };
+        Json::obj()
+            .with("harness", "helix")
+            .with("schema_version", crate::report::SCHEMA_VERSION)
+            .with("name", &self.scenario)
+            .with("kind", &self.kind)
+            .with("scale", &self.scale)
+            .with("cores", self.cores)
+            .with("compiler", &self.compiler)
+            .with("coverage", Json::fixed(self.coverage, 4))
+            .with("plans", self.plans)
+            .with("runs", self.runs.iter().map(row).collect::<Vec<_>>())
+            .with_nonempty("sweep", self.sweep.iter().map(row).collect())
+            .with_nonempty("nests", self.nests.iter().map(nest).collect())
+            .document()
     }
 }
 

@@ -474,7 +474,8 @@ const CAMPAIGN: &str = r##"{
 }
 "##;
 
-/// A campaign report whose every cell failed (zero rows).
+/// A campaign report whose every cell failed (zero rows). An empty
+/// `rows` array is written `[]`, like every other empty array.
 const ALL_FAILED_CAMPAIGN: &str = r##"{
   "harness": "campaign",
   "schema_version": 1,
@@ -483,8 +484,7 @@ const ALL_FAILED_CAMPAIGN: &str = r##"{
   "scale": "Full",
   "seed": 0,
   "scenarios": ["181.mcf"],
-  "rows": [
-  ],
+  "rows": [],
   "failures": [
     {"scenario": "181.mcf", "experiment": "generations", "cores": 16, "kind": "panic", "retries": 2, "message": "chaos: injected panic a\"b\\c\nd\u0001e\tf\rg"},
     {"scenario": "300.twolf", "experiment": "coupled_vs_ring", "cores": 8, "kind": "cycle-budget", "retries": 0, "message": "cycle budget 5000 exhausted"}
