@@ -1000,6 +1000,22 @@ mod tests {
     use super::*;
     use helix_workloads::builtin_spec;
 
+    /// The wire's requests are read through [`Json::parse`]: arrays,
+    /// non-ASCII strings, literals and empty objects come back intact.
+    #[test]
+    fn json_parser_roundtrips_the_hard_cases() {
+        let doc = r#"{"a": [1, -2.5, 1e3], "s": "tab\t\"q\" é 😀", "n": null, "b": [true, false], "o": {}}"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(v.get("s").unwrap().as_str().unwrap(), "tab\t\"q\" é 😀");
+        assert_eq!(v.get("n"), Some(&Json::Null));
+        assert_eq!(
+            v.get("b").unwrap().as_array().unwrap()[0].as_bool(),
+            Some(true)
+        );
+        assert_eq!(Json::parse(&v.line()).unwrap(), v);
+    }
+
     #[test]
     fn request_wire_roundtrip() {
         let request = Request::RunCampaign {
