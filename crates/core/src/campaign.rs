@@ -22,7 +22,7 @@ use crate::json::Json;
 use crate::resilient::{
     cell_fuel, fnv1a, run_cell_resilient, CellFailure, Fault, Journal, FNV_OFFSET,
 };
-use crate::scenario::nest_rows;
+use crate::scenario::{nest_rows, nest_weights};
 use helix_hcc::HccConfig;
 use helix_workloads::spec::{CompilerGen, CountExpr};
 use helix_workloads::{
@@ -548,9 +548,10 @@ fn run_cell(
 /// The derived speedup-vs-coverage row of one scenario, anchored on its
 /// `generations` measurement `gens` at `cores`: HCCv3's whole-program
 /// coverage and its Amdahl bound, plus per-nest breakdowns for
-/// multi-nest scenarios (in-context weights via prefix differencing,
-/// per-nest speedups from isolated-nest simulations, and plan→nest
-/// attribution through the recorded block boundaries).
+/// multi-nest scenarios (in-context weights from the marks of the
+/// generations cell's own sequential run, per-nest speedups from
+/// isolated-nest simulations, and plan→nest attribution through the
+/// recorded block boundaries).
 fn derived_row(
     scenario: &ScenarioSpec,
     w: &Workload,
@@ -566,30 +567,24 @@ fn derived_row(
     // is the generations experiment's HELIX-RC run and program_coverage
     // comes from the v3 compile above), so the isolated nests compile
     // with v3 too, regardless of the scenario's own `run.compiler`.
-    let nests = nest_rows(
-        scenario,
-        scale,
-        cores,
-        opts.fuel,
-        gens.seq_cycles,
-        CompilerGen::V3,
-    )?
-    .into_iter()
-    .zip(&w.nests)
-    .map(|(row, boundary)| {
-        let (program_coverage, _) =
-            compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
-        DerivedNestRow {
-            name: row.name,
-            weight: row.weight,
-            glue_weight: row.glue_weight,
-            coverage: row.coverage,
-            program_coverage,
-            plans: row.plans,
-            speedup: row.speedup,
-        }
-    })
-    .collect();
+    let weights = nest_weights(&w.name, &w.nests, &gens.seq_marks, gens.seq_cycles)?;
+    let nests = nest_rows(scenario, scale, cores, opts.fuel, CompilerGen::V3, &weights)?
+        .into_iter()
+        .zip(&w.nests)
+        .map(|(row, boundary)| {
+            let (program_coverage, _) =
+                compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
+            DerivedNestRow {
+                name: row.name,
+                weight: row.weight,
+                glue_weight: row.glue_weight,
+                coverage: row.coverage,
+                program_coverage,
+                plans: row.plans,
+                speedup: row.speedup,
+            }
+        })
+        .collect();
     Ok(DerivedRow {
         scenario: w.name.clone(),
         kind: w.kind.render().into(),
@@ -786,7 +781,7 @@ pub struct CampaignRunStats {
     pub failed: usize,
     /// Derived rows answered from the journal.
     pub derived_hits: usize,
-    /// Derived rows computed (each re-simulates nest prefixes).
+    /// Derived rows computed (each simulates its isolated nests).
     pub derived_computed: usize,
 }
 

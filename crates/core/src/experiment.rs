@@ -4,12 +4,12 @@
 
 use crate::batch::{SimCache, SEQ_KEY};
 use helix_hcc::{CompiledProgram, HccConfig, LoopPlan};
-use helix_ir::Program;
+use helix_ir::{InstSite, Program};
 use helix_ring_cache::{ArrayConfig, RingConfig};
 use helix_sim::{
     Bucket, CoreModel, DecoupleConfig, EngineSel, Machine, MachineConfig, RunReport, SyncModel,
 };
-use helix_workloads::Workload;
+use helix_workloads::{NestBoundary, Workload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -98,7 +98,8 @@ impl ExperimentOptions {
 /// selection applied uniformly, report memoization through the cache,
 /// and every miss simulated standalone, in parallel (over the cache's
 /// shared decode when there is one). `decode_key` identifies the
-/// program in the cache ([`SEQ_KEY`] or a compile key).
+/// program in the cache ([`SEQ_KEY`] or a compile key). Every machine
+/// records marks at `cuts` ([`Machine::with_cuts`]).
 ///
 /// Cached and fresh runs produce bit-identical reports; they differ
 /// only in how much work is shared.
@@ -107,6 +108,7 @@ fn run_batch(
     decode_key: &str,
     program: &Program,
     plans: &[LoopPlan],
+    cuts: &[InstSite],
     cfgs: Vec<MachineConfig>,
 ) -> Result<Vec<RunReport>, ExpError> {
     let cfgs: Vec<MachineConfig> = cfgs
@@ -135,11 +137,11 @@ fn run_batch(
     let computed: Vec<Result<RunReport, ExpError>> = misses
         .par_iter()
         .map(|&ix| {
-            let mut machine = match &decoded {
+            let machine = match &decoded {
                 Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
                 None => Machine::new(program, plans, cfgs[ix].clone()),
             };
-            Ok(machine.run(opts.fuel)?)
+            Ok(machine.with_cuts(cuts).run(opts.fuel)?)
         })
         .collect();
     for (report, &ix) in computed.into_iter().zip(&misses) {
@@ -156,6 +158,19 @@ fn run_batch(
         .into_iter()
         .map(|r| r.expect("all filled"))
         .collect())
+}
+
+/// Run `cfgs` over `w`'s original program with no plans. Every
+/// sequential run of a workload goes through here, so each records the
+/// workload's nest cuts, and a report the cache serves carries its
+/// marks whichever experiment stored it.
+fn run_sequential(
+    opts: &ExperimentOptions,
+    w: &Workload,
+    cfgs: Vec<MachineConfig>,
+) -> Result<Vec<RunReport>, ExpError> {
+    let cuts: Vec<InstSite> = w.nests.iter().flat_map(NestBoundary::cuts).collect();
+    run_batch(opts, SEQ_KEY, &w.program, &[], &cuts, cfgs)
 }
 
 /// Error from an experiment run.
@@ -198,7 +213,7 @@ pub fn baseline_cycles(
     cfg: &MachineConfig,
     opts: &ExperimentOptions,
 ) -> Result<u64, ExpError> {
-    let reports = run_batch(opts, SEQ_KEY, &w.program, &[], vec![cfg.clone()])?;
+    let reports = run_sequential(opts, w, vec![cfg.clone()])?;
     Ok(reports[0].cycles)
 }
 
@@ -236,6 +251,9 @@ pub struct CompilerGenerations {
     pub paper_helix: f64,
     /// Sequential baseline cycles (the denominator of every speedup).
     pub seq_cycles: u64,
+    /// The sequential baseline's marks at the workload's nest cuts
+    /// ([`RunReport::marks`]; empty for a single-pipeline workload).
+    pub seq_marks: Vec<u64>,
     /// Cycles of the HELIX-RC run.
     pub helix_cycles: u64,
 }
@@ -261,30 +279,30 @@ pub fn compiler_generations(
     // transformed), so there is no decode to share across them; each is
     // a one-config batch, parallel across jobs.
     let jobs: Vec<Option<usize>> = vec![None, Some(0), Some(1), Some(2)];
-    let reports: Vec<RunReport> =
-        jobs.par_iter()
-            .map(|job| -> Result<RunReport, ExpError> {
-                let rep = match job {
-                    None => run_batch(opts, SEQ_KEY, &w.program, &[], vec![conventional.clone()])?
-                        .remove(0),
-                    Some(g) => {
-                        let (hcc, compiled, cfg) = &gens[*g];
-                        let key = SimCache::compile_key(hcc);
-                        let rep = run_batch(
-                            opts,
-                            &key,
-                            &compiled.program,
-                            &compiled.plans,
-                            vec![(*cfg).clone()],
-                        )?
-                        .remove(0);
-                        check(&rep, &w.name)?;
-                        rep
-                    }
-                };
-                Ok(rep)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    let reports: Vec<RunReport> = jobs
+        .par_iter()
+        .map(|job| -> Result<RunReport, ExpError> {
+            let rep = match job {
+                None => run_sequential(opts, w, vec![conventional.clone()])?.remove(0),
+                Some(g) => {
+                    let (hcc, compiled, cfg) = &gens[*g];
+                    let key = SimCache::compile_key(hcc);
+                    let rep = run_batch(
+                        opts,
+                        &key,
+                        &compiled.program,
+                        &compiled.plans,
+                        &[],
+                        vec![(*cfg).clone()],
+                    )?
+                    .remove(0);
+                    check(&rep, &w.name)?;
+                    rep
+                }
+            };
+            Ok(rep)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     let seq = reports[0].cycles;
     Ok(CompilerGenerations {
@@ -294,6 +312,7 @@ pub fn compiler_generations(
         helix_rc: seq as f64 / reports[3].cycles.max(1) as f64,
         paper_helix: w.paper.helix_speedup,
         seq_cycles: seq,
+        seq_marks: reports[0].marks.clone(),
         helix_cycles: reports[3].cycles,
     })
 }
@@ -406,18 +425,13 @@ pub fn decoupling_lattice(
         let results: Vec<Result<Vec<RunReport>, ExpError>> = [0usize, 1, 2]
             .par_iter()
             .map(|job| match job {
-                0 => run_batch(
-                    opts,
-                    SEQ_KEY,
-                    &w.program,
-                    &[],
-                    vec![MachineConfig::conventional(cores)],
-                ),
+                0 => run_sequential(opts, w, vec![MachineConfig::conventional(cores)]),
                 1 => run_batch(
                     opts,
                     &SimCache::compile_key(&v2_hcc),
                     &v2.program,
                     &v2.plans,
+                    &[],
                     vec![LatticePoint::Hccv2.machine(cores)],
                 ),
                 _ => run_batch(
@@ -425,6 +439,7 @@ pub fn decoupling_lattice(
                     &SimCache::compile_key(&v3_hcc),
                     &v3.program,
                     &v3.plans,
+                    &[],
                     v3_points.iter().map(|p| p.machine(cores)).collect(),
                 ),
             })
@@ -501,6 +516,7 @@ pub fn coupled_vs_ring(
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         vec![
             MachineConfig::conventional(cores),
             MachineConfig::helix_rc(cores),
@@ -567,12 +583,13 @@ pub fn core_type_sweep(
             cfg
         })
         .collect();
-    let seqs = run_batch(opts, SEQ_KEY, &w.program, &[], seq_cfgs)?;
+    let seqs = run_sequential(opts, w, seq_cfgs)?;
     let pars = run_batch(
         opts,
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         par_cfgs,
     )?;
     let mut speedups = [0.0f64; 3];
@@ -610,6 +627,7 @@ pub fn sweep_core_count(
                 &SimCache::compile_key(&hcc),
                 &compiled.program,
                 &compiled.plans,
+                &[],
                 vec![MachineConfig::helix_rc(cores)],
             )?
             .pop()
@@ -649,6 +667,7 @@ pub fn sweep_ring<F: Fn(&mut RingConfig) + Sync>(
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         cfgs,
     )?;
     labels_and_sets
@@ -741,6 +760,7 @@ pub fn overhead_breakdown(
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         vec![MachineConfig::helix_rc(cores)],
     )?
     .pop()
@@ -767,6 +787,7 @@ pub fn iteration_lengths(w: &Workload, opts: &ExperimentOptions) -> Result<Vec<u
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         vec![MachineConfig::helix_rc(1)],
     )?
     .pop()
@@ -788,6 +809,7 @@ pub fn sharing_profile(
         &SimCache::compile_key(&hcc),
         &compiled.program,
         &compiled.plans,
+        &[],
         vec![MachineConfig::helix_rc(cores)],
     )?
     .pop()

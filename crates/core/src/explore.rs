@@ -42,14 +42,14 @@ use crate::error::HelixError;
 use crate::experiment::comm_frac;
 use crate::json::Json;
 use crate::resilient::{fnv1a, FNV_OFFSET};
-use crate::scenario::{nest_rows, NestRow};
+use crate::scenario::{nest_rows, nest_weights, NestRow};
 use helix_hcc::{compile, HccConfig};
+use helix_ir::InstSite;
 use helix_sim::{
-    simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, RunReport, SimError,
-    SimSession,
+    simulate, Bucket, EngineSel, Machine, MachineConfig, RunReport, SimError, SimSession,
 };
 use helix_workloads::spec::{CompilerGen, OpSpec, PhaseSpec};
-use helix_workloads::{generate, Scale, ScenarioSpec, SpecGen, MAX_CORES};
+use helix_workloads::{generate_with_nests, NestBoundary, Scale, ScenarioSpec, SpecGen, MAX_CORES};
 use std::path::PathBuf;
 
 /// Relative slack allowed before the amdahl-bound oracle fires:
@@ -451,7 +451,7 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
 
     // Baseline: generate, sequential run, HCCv3 compile, HELIX-RC run.
     exam.checks += 1;
-    let program = match generate(spec, Scale::Test) {
+    let (program, nests) = match generate_with_nests(spec, Scale::Test) {
         Ok(p) => p,
         Err(e) => {
             fail(&mut exam, Oracle::Sanity, format!("generate: {e}"));
@@ -459,7 +459,11 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
         }
     };
     let seq_cfg = MachineConfig::conventional(cores);
-    let seq = match simulate_sequential(&program, &seq_cfg, fuel) {
+    let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
+    let seq = match Machine::new(&program, &[], seq_cfg)
+        .with_cuts(&cuts)
+        .run(fuel)
+    {
         Ok(r) => r,
         Err(e) => {
             fail(&mut exam, Oracle::Sanity, format!("sequential run: {e:?}"));
@@ -562,7 +566,10 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
     // Per-nest coverage accounting (multi-nest specs only).
     if spec.nests.len() >= 2 {
         exam.checks += 1;
-        match nest_rows(spec, Scale::Test, cores, fuel, seq.cycles, CompilerGen::V3) {
+        let rows = nest_weights(&spec.name, &nests, &seq.marks, seq.cycles).and_then(|weights| {
+            nest_rows(spec, Scale::Test, cores, fuel, CompilerGen::V3, &weights)
+        });
+        match rows {
             Ok(rows) => {
                 if let Err(d) = oracle_coverage_sum(&rows) {
                     fail(&mut exam, Oracle::CoverageSum, d);

@@ -9,9 +9,10 @@ use crate::error::{ErrorKind, HelixError};
 use crate::experiment::{check, ExpError};
 use crate::json::Json;
 use helix_hcc::{compile, CompiledProgram, HccConfig};
-use helix_sim::{simulate, simulate_sequential, Bucket, MachineConfig, RunReport};
+use helix_ir::InstSite;
+use helix_sim::{simulate, Bucket, Machine, MachineConfig, RunReport};
 use helix_workloads::spec::{CompilerGen, MachineKind};
-use helix_workloads::{generate, generate_nest, generate_prefix, Scale, ScenarioSpec};
+use helix_workloads::{generate_nest, generate_with_nests, NestBoundary, Scale, ScenarioSpec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -51,13 +52,16 @@ impl RunRow {
 
 /// Per-nest measurements of a multi-nest scenario.
 ///
-/// Weights are *in-context*: successive prefix programs (nests `0..k`,
-/// with and without the next glue stretch) are simulated sequentially
-/// and their cycle counts differenced, so each nest's fraction reflects
-/// exactly what it costs inside the composed program, warm caches and
-/// carried state included. Speedup and coverage come from the nest
-/// simulated and compiled in *isolation* (its phases only), which is
-/// the per-nest parallelization measurement.
+/// Weights are *in-context*: the composed program's one sequential run
+/// marks the cycle at which it reaches each nest cut (after a nest's
+/// glue, after its phases; see [`NestBoundary`]), and successive marks
+/// are differenced, so each nest's fraction reflects exactly what it
+/// costs inside the composed program, warm caches and carried state
+/// included. A mark equals the sequential cycle count of the prefix
+/// program that ends at its cut, which is the independent oracle for
+/// the weights. Speedup and coverage come from the nest simulated
+/// and compiled in *isolation* (its phases only), which is the per-nest
+/// parallelization measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NestRow {
     /// Nest name from the spec.
@@ -255,18 +259,12 @@ fn check_helix_cores(spec: &ScenarioSpec, cores: usize, overridden: bool) -> Res
 enum Job<'a> {
     /// The scenario program on `machine` at `cores`. The conventional
     /// and HELIX-RC machines run `compiled`, or compile at `cores` when
-    /// it is `None` (a sweep point).
+    /// it is `None` (a sweep point). A sequential run marks the plan's
+    /// nest cuts.
     Scenario {
         program: &'a helix_ir::Program,
         compiled: Option<&'a CompiledProgram>,
         machine: MachineKind,
-        cores: usize,
-    },
-    /// The sequential prefix program of nests `0..nests`, with the next
-    /// nest's glue when `glue` is set.
-    Prefix {
-        nests: usize,
-        glue: bool,
         cores: usize,
     },
     /// Nest `ix` in isolation, on `machine` (sequential or HELIX-RC).
@@ -311,13 +309,8 @@ impl Done {
     }
 }
 
-/// Job indices of one nest's measurements (see [`NestRow`]).
+/// Job indices of one isolated nest's measurements (see [`NestRow`]).
 struct NestJobs {
-    /// The prefix through this nest's glue, when there is glue.
-    after_glue: Option<usize>,
-    /// The prefix through this nest, except for the last nest, whose
-    /// prefix is the whole program.
-    after_nest: Option<usize>,
     seq: usize,
     helix: usize,
 }
@@ -328,16 +321,25 @@ struct Plan<'a> {
     scale: Scale,
     fuel: u64,
     compiler: CompilerGen,
+    /// The scenario program's nest cuts, marked by its sequential runs.
+    cuts: &'a [InstSite],
     jobs: Vec<Job<'a>>,
 }
 
 impl<'a> Plan<'a> {
-    fn new(spec: &'a ScenarioSpec, scale: Scale, fuel: u64, compiler: CompilerGen) -> Plan<'a> {
+    fn new(
+        spec: &'a ScenarioSpec,
+        scale: Scale,
+        fuel: u64,
+        compiler: CompilerGen,
+        cuts: &'a [InstSite],
+    ) -> Plan<'a> {
         Plan {
             spec,
             scale,
             fuel,
             compiler,
+            cuts,
             jobs: Vec::new(),
         }
     }
@@ -349,7 +351,7 @@ impl<'a> Plan<'a> {
 
     /// The scenario program's sequential run at `cores`, pushed once
     /// and shared by the main rows, the sweep baselines and the nest
-    /// weights.
+    /// weights (its marks).
     fn sequential(&mut self, program: &'a helix_ir::Program, cores: usize) -> usize {
         let pushed = self.jobs.iter().position(|job| {
             matches!(job, Job::Scenario { machine: MachineKind::Sequential, cores: c, .. } if *c == cores)
@@ -364,33 +366,25 @@ impl<'a> Plan<'a> {
         })
     }
 
-    /// Every nest's jobs, at `cores`.
+    /// Every isolated nest's jobs, at `cores`.
     fn push_nests(&mut self, cores: usize) -> Vec<NestJobs> {
-        let n = self.scale.n(self.spec.base_n);
-        let last = self.spec.nests.len().saturating_sub(1);
-        let mut nests = Vec::new();
-        for (ix, nest) in self.spec.nests.iter().enumerate() {
-            let has_glue = nest.glue.eval(n) > 0 || nest.import.is_some();
-            let prefix = |nests, glue| Job::Prefix { nests, glue, cores };
-            let nest = |machine| Job::Nest { ix, machine, cores };
-            nests.push(NestJobs {
-                after_glue: has_glue.then(|| self.push(prefix(ix, true))),
-                after_nest: (ix != last).then(|| self.push(prefix(ix + 1, false))),
-                seq: self.push(nest(MachineKind::Sequential)),
-                helix: self.push(nest(MachineKind::HelixRc)),
-            });
-        }
-        nests
+        (0..self.spec.nests.len())
+            .map(|ix| {
+                let nest = |machine| Job::Nest { ix, machine, cores };
+                NestJobs {
+                    seq: self.push(nest(MachineKind::Sequential)),
+                    helix: self.push(nest(MachineKind::HelixRc)),
+                }
+            })
+            .collect()
     }
 
     /// Run every job with one `par_iter`, HELIX-RC runs (the longest)
     /// first.
     fn run(&self) -> Done {
-        let is_helix = |job: &Job| match job {
-            Job::Scenario { machine, .. } | Job::Nest { machine, .. } => {
-                *machine == MachineKind::HelixRc
-            }
-            Job::Prefix { .. } => false,
+        let is_helix = |job: &Job| {
+            let (Job::Scenario { machine, .. } | Job::Nest { machine, .. }) = job;
+            *machine == MachineKind::HelixRc
         };
         let mut order: Vec<usize> = (0..self.jobs.len()).collect();
         order.sort_by_key(|&ix| !is_helix(&self.jobs[ix]));
@@ -415,22 +409,20 @@ impl<'a> Plan<'a> {
                 machine,
                 cores,
                 &machine_label(machine, cores),
+                self.cuts,
             ),
-            Job::Prefix { nests, glue, cores } => {
-                let program = generate_prefix(self.spec, self.scale, nests, glue)?;
-                self.simulate(&program, None, MachineKind::Sequential, cores, "")
-            }
             Job::Nest { ix, machine, cores } => {
                 let program = generate_nest(self.spec, self.scale, ix)?;
                 let what = format!("{}::{}", self.spec.name, self.spec.nests[ix].name);
-                self.simulate(&program, None, machine, cores, &what)
+                self.simulate(&program, None, machine, cores, &what, &[])
             }
         }
     }
 
-    /// Simulate `program` on `machine`. A conventional or HELIX-RC
-    /// machine runs `compiled`, or compiles `program` at `cores` first;
-    /// its report must pass [`check`] under the name `what`.
+    /// Simulate `program` on `machine`. A sequential machine marks
+    /// `cuts`. A conventional or HELIX-RC machine runs `compiled`, or
+    /// compiles `program` at `cores` first; its report must pass
+    /// [`check`] under the name `what`.
     fn simulate(
         &self,
         program: &helix_ir::Program,
@@ -438,6 +430,7 @@ impl<'a> Plan<'a> {
         machine: MachineKind,
         cores: usize,
         what: &str,
+        cuts: &[InstSite],
     ) -> Result<Outcome, ExpError> {
         let own;
         let compiled = match (machine, compiled) {
@@ -454,7 +447,10 @@ impl<'a> Plan<'a> {
         };
         let t0 = Instant::now();
         let report = match compiled {
-            None => simulate_sequential(program, &config, self.fuel).map_err(ExpError::from),
+            None => Machine::new(program, &[], config)
+                .with_cuts(cuts)
+                .run(self.fuel)
+                .map_err(ExpError::from),
             Some(compiled) => simulate(compiled, &config, self.fuel)
                 .map_err(ExpError::from)
                 .and_then(|report| check(&report, what).map(|()| report)),
@@ -476,8 +472,8 @@ struct ScenarioJobs {
     /// Per `run.sweep_cores` point: its core count, sequential baseline
     /// and HELIX-RC run.
     sweep: Vec<(usize, usize, usize)>,
-    /// The whole program's sequential run, when there are nests to
-    /// weigh against it.
+    /// The whole program's sequential run, whose marks weigh the nests,
+    /// when there are nests.
     whole: Option<usize>,
     nests: Vec<NestJobs>,
 }
@@ -531,10 +527,12 @@ impl ScenarioJobs {
 
     /// The report's main, sweep and nest rows, assembled in the serial
     /// order: machines in spec order, then each sweep point (compile,
-    /// baseline, run), then the nests.
+    /// baseline, run), then the whole program's sequential run, its
+    /// marks at the cuts of `nests`, and the isolated nests.
     fn rows(
         &self,
         spec: &ScenarioSpec,
+        nests: &[NestBoundary],
         cores: usize,
         done: &Done,
         attribution: bool,
@@ -569,7 +567,11 @@ impl ScenarioJobs {
         }
 
         let nests = match self.whole {
-            Some(whole) => nest_table(spec, &self.nests, done, done.cycles(whole)?)?,
+            Some(whole) => {
+                let whole = &done.sim(whole)?.0;
+                let weights = nest_weights(&spec.name, nests, &whole.marks, whole.cycles)?;
+                nest_table(spec, &weights, &self.nests, done)?
+            }
             None => Vec::new(),
         };
         Ok((runs, sweep, nests))
@@ -611,13 +613,15 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<Scenari
     let scale = options.scenario_scale();
     let cores = options.cores.unwrap_or(spec.run.cores as usize);
     check_helix_cores(spec, cores, options.cores.is_some())?;
-    let program = generate(spec, scale)?;
+    let (program, boundaries) = generate_with_nests(spec, scale)?;
     let fuel = options.fuel.unwrap_or(spec.run.fuel);
     let compiled = compile(&program, &hcc_config(spec.run.compiler, cores as u32))?;
 
-    let mut plan = Plan::new(spec, scale, fuel, spec.run.compiler);
+    let cuts: Vec<InstSite> = boundaries.iter().flat_map(NestBoundary::cuts).collect();
+    let mut plan = Plan::new(spec, scale, fuel, spec.run.compiler, &cuts);
     let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, cores);
-    let (runs, sweep, nests) = jobs.rows(spec, cores, &plan.run(), options.attribution)?;
+    let done = plan.run();
+    let (runs, sweep, nests) = jobs.rows(spec, &boundaries, cores, &done, options.attribution)?;
 
     Ok(ScenarioReport {
         scenario: spec.name.clone(),
@@ -633,73 +637,127 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<Scenari
     })
 }
 
-/// Per-nest breakdown of a multi-nest scenario (see [`NestRow`] for the
-/// measurement semantics).
+/// One nest's in-context shares of the composed program's sequential
+/// cycles (see [`NestRow`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NestWeight {
+    /// The share spent in the serial glue before the nest.
+    glue: f64,
+    /// The share spent in the nest's phases.
+    nest: f64,
+}
+
+/// Every nest's in-context weight, read from the composed program's
+/// sequential run: its `cycles` and the `marks` it recorded at the cuts
+/// of `nests` ([`NestBoundary::cuts`], in order). A nest's glue spans
+/// from the previous nest's end cut (or cycle 0) to its glue cut; the
+/// nest spans from there to its end cut (or the end of the run). A nest
+/// without glue has no glue cut and a glue weight of zero.
 ///
-/// The simulations run in parallel as one job list: the prefix cuts,
-/// and each isolated nest on the sequential machine and compiled for
-/// HELIX-RC. The in-context weights are then differenced from the
-/// returned cycle counts. `whole_seq` is the composed program's
-/// sequential cycle count, which the caller has already measured; the
-/// composed program *is* the last prefix program, so differencing needs
-/// `nests - 1` prefix simulations plus one per non-empty glue stretch.
-/// `compiler` selects the generation the isolated nests are compiled
-/// with — callers must pass whatever generation their headline numbers
-/// use, or the per-nest coverage/speedup columns would silently mix
-/// compilers.
+/// # Errors
+///
+/// An `E_SIM` error when the run reached fewer cuts than `nests` have,
+/// or when the marks do not rise through the program: a weight is
+/// never clamped.
+pub(crate) fn nest_weights(
+    scenario: &str,
+    nests: &[NestBoundary],
+    marks: &[u64],
+    cycles: u64,
+) -> Result<Vec<NestWeight>, ExpError> {
+    let error = |detail: String| {
+        Err(HelixError::new(
+            ErrorKind::Sim,
+            format!("{scenario}: nest weights: {detail}"),
+        ))
+    };
+    let cuts: usize = nests.iter().map(|nest| nest.cuts().count()).sum();
+    if marks.len() != cuts {
+        return error(format!(
+            "the sequential run marked {} of {cuts} nest cuts",
+            marks.len()
+        ));
+    }
+    let frac = |from: u64, to: u64| (to - from) as f64 / cycles.max(1) as f64;
+    let mut marks = marks.iter().copied();
+    let mut mark = |cut: Option<InstSite>, otherwise: u64| match cut {
+        Some(_) => marks.next().expect("one mark per cut"),
+        None => otherwise,
+    };
+    let mut weights = Vec::new();
+    // The mark of the cut ending the previous nest.
+    let mut prev = 0u64;
+    for nest in nests {
+        let after_glue = mark(nest.glue_cut, prev);
+        let after_nest = mark(nest.end_cut, cycles);
+        if !(prev <= after_glue && after_glue <= after_nest) {
+            return error(format!(
+                "{}: cut marks out of order ({prev}, {after_glue}, {after_nest})",
+                nest.name
+            ));
+        }
+        weights.push(NestWeight {
+            glue: frac(prev, after_glue),
+            nest: frac(after_glue, after_nest),
+        });
+        prev = after_nest;
+    }
+    Ok(weights)
+}
+
+/// Per-nest breakdown of a multi-nest scenario (see [`NestRow`] for the
+/// measurement semantics), given each nest's in-context `weights` from
+/// [`nest_weights`].
+///
+/// The isolated nests run in parallel as one job list, each on the
+/// sequential machine and compiled for HELIX-RC. `compiler` selects the
+/// generation the isolated nests are compiled with — callers must pass
+/// whatever generation their headline numbers use, or the per-nest
+/// coverage/speedup columns would silently mix compilers.
 pub(crate) fn nest_rows(
     spec: &ScenarioSpec,
     scale: Scale,
     cores: usize,
     fuel: u64,
-    whole_seq: u64,
     compiler: CompilerGen,
+    weights: &[NestWeight],
 ) -> Result<Vec<NestRow>, ExpError> {
-    let mut plan = Plan::new(spec, scale, fuel, compiler);
+    let mut plan = Plan::new(spec, scale, fuel, compiler, &[]);
     let jobs = plan.push_nests(cores);
-    nest_table(spec, &jobs, &plan.run(), whole_seq)
+    nest_table(spec, weights, &jobs, &plan.run())
 }
 
-/// The differencing step of [`nest_rows`]: one row per nest from its
-/// jobs' outcomes, walked in the serial order.
+/// One row per nest from its weight and its isolated jobs' outcomes,
+/// walked in the serial order.
 fn nest_table(
     spec: &ScenarioSpec,
+    weights: &[NestWeight],
     jobs: &[NestJobs],
     done: &Done,
-    whole_seq: u64,
 ) -> Result<Vec<NestRow>, ExpError> {
-    let frac = |cycles: u64| cycles as f64 / whole_seq.max(1) as f64;
-    let mut rows = Vec::new();
-    // Cycle count of the prefix ending before the current nest's glue.
-    let mut prev_cut = 0u64;
-    for (nest, jobs) in spec.nests.iter().zip(jobs) {
-        let after_glue = match jobs.after_glue {
-            Some(ix) => done.cycles(ix)?,
-            None => prev_cut,
-        };
-        let after_nest = match jobs.after_nest {
-            Some(ix) => done.cycles(ix)?,
-            None => whole_seq,
-        };
-        let seq = done.cycles(jobs.seq)?;
-        let (coverage, plans) = done
-            .job(jobs.helix)?
-            .compiled
-            .expect("a HELIX-RC job compiles");
-        let helix = done.cycles(jobs.helix)?;
-        rows.push(NestRow {
-            name: nest.name.clone(),
-            weight: frac(after_nest.saturating_sub(after_glue)),
-            glue_weight: frac(after_glue.saturating_sub(prev_cut)),
-            coverage,
-            plans,
-            seq_cycles: seq,
-            helix_cycles: helix,
-            speedup: seq as f64 / helix.max(1) as f64,
-        });
-        prev_cut = after_nest;
-    }
-    Ok(rows)
+    spec.nests
+        .iter()
+        .zip(weights)
+        .zip(jobs)
+        .map(|((nest, weight), jobs)| {
+            let seq = done.cycles(jobs.seq)?;
+            let (coverage, plans) = done
+                .job(jobs.helix)?
+                .compiled
+                .expect("a HELIX-RC job compiles");
+            let helix = done.cycles(jobs.helix)?;
+            Ok(NestRow {
+                name: nest.name.clone(),
+                weight: weight.nest,
+                glue_weight: weight.glue,
+                coverage,
+                plans,
+                seq_cycles: seq,
+                helix_cycles: helix,
+                speedup: seq as f64 / helix.max(1) as f64,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -754,12 +812,13 @@ mod tests {
         let mut spec = builtin_spec("970.pipeline").unwrap();
         spec.run.machines = vec![MachineKind::HelixRc, MachineKind::Conventional];
         spec.run.sweep_cores = vec![4, 8];
-        let program = generate(&spec, Scale::Test).unwrap();
+        let (program, nests) = generate_with_nests(&spec, Scale::Test).unwrap();
+        let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
         let compiled = compile(&program, &hcc_config(CompilerGen::V3, 16)).unwrap();
-        let mut plan = Plan::new(&spec, Scale::Test, spec.run.fuel, CompilerGen::V3);
+        let mut plan = Plan::new(&spec, Scale::Test, spec.run.fuel, CompilerGen::V3, &cuts);
         let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, 16);
         let ok = plan.run();
-        assert!(jobs.rows(&spec, 16, &ok, false).is_ok());
+        assert!(jobs.rows(&spec, &nests, 16, &ok, false).is_ok());
 
         // `(job, true)` fails before the simulation, `(job, false)` in it.
         let mut steps: Vec<(usize, bool)> = jobs.machines.iter().map(|&ix| (ix, false)).collect();
@@ -768,14 +827,14 @@ mod tests {
         }
         steps.push((jobs.whole.unwrap(), false));
         for nest in &jobs.nests {
-            let prefixes = nest.after_glue.into_iter().chain(nest.after_nest);
-            for ix in prefixes.chain([nest.seq, nest.helix]) {
+            for ix in [nest.seq, nest.helix] {
                 steps.extend([(ix, true), (ix, false)]);
             }
         }
-        // Two machines, two sweep points, the whole program, and per
-        // step pair four prefix cuts and two isolated runs per nest.
-        assert_eq!(steps.len(), 2 + 2 * 3 + 1 + 2 * (4 + 3 * 2));
+        // Two machines, two sweep points, the whole program (whose
+        // marks weigh the nests), and per step pair two isolated runs
+        // for each of the three nests.
+        assert_eq!(steps.len(), 2 + 2 * 3 + 1 + 2 * 3 * 2);
 
         let fail = |k: usize| HelixError::new(ErrorKind::Internal, format!("step {k}"));
         for k in 0..steps.len() {
@@ -787,8 +846,63 @@ mod tests {
                     Err(_) => {}
                 }
             }
-            let err = jobs.rows(&spec, 16, &done, false).unwrap_err();
+            let err = jobs.rows(&spec, &nests, 16, &done, false).unwrap_err();
             assert_eq!(err.message, fail(k).message, "{:?}", steps[k]);
+        }
+    }
+
+    /// The marks of 970.pipeline's whole sequential run: three nests,
+    /// glue before the second and third.
+    fn pipeline_marks() -> (Vec<NestBoundary>, RunReport) {
+        let spec = builtin_spec("970.pipeline").unwrap();
+        let (program, nests) = generate_with_nests(&spec, Scale::Test).unwrap();
+        let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
+        let run = Machine::new(&program, &[], MachineConfig::conventional(4))
+            .with_cuts(&cuts)
+            .run(spec.run.fuel)
+            .unwrap();
+        assert_eq!(run.marks.len(), cuts.len());
+        (nests, run)
+    }
+
+    #[test]
+    fn nest_weights_account_for_the_whole_run() {
+        let (nests, run) = pipeline_marks();
+        let weights = nest_weights("970.pipeline", &nests, &run.marks, run.cycles).unwrap();
+        assert_eq!(weights.len(), nests.len());
+        let total: f64 = weights.iter().map(|w| w.glue + w.nest).sum();
+        assert!((total - 1.0).abs() < 1e-12, "weights sum to {total}");
+        assert_eq!(weights[0].glue, 0.0);
+        assert!(weights[1..].iter().all(|w| w.glue > 0.0));
+        assert!(weights.iter().all(|w| w.nest > 0.0));
+    }
+
+    /// Marks that are missing, extra, out of order or past the end of
+    /// the run are an `E_SIM` error, never a weight clamped to zero.
+    #[test]
+    fn bad_marks_are_a_typed_error() {
+        let (nests, run) = pipeline_marks();
+        let marks = &run.marks;
+        let mut swapped = marks.clone();
+        swapped.swap(1, 2);
+        let mut late = marks.clone();
+        *late.last_mut().unwrap() = run.cycles + 1;
+        let mut extra = marks.clone();
+        extra.push(run.cycles);
+        let cases: [(&str, &[u64]); 5] = [
+            ("too short", &marks[..marks.len() - 1]),
+            ("none", &[]),
+            ("too long", &extra),
+            ("out of order", &swapped),
+            ("past the end", &late),
+        ];
+        for (what, marks) in cases {
+            let err = nest_weights("970.pipeline", &nests, marks, run.cycles).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Sim, "{what}: {err}");
+            assert!(
+                err.message.starts_with("970.pipeline: nest weights: "),
+                "{what}: {err}"
+            );
         }
     }
 

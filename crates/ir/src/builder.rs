@@ -7,6 +7,7 @@
 
 use crate::inst::{AddrExpr, BinOp, Inst, InstOrigin, Intrinsic, Operand, Terminator, UnOp};
 use crate::program::{Block, Graph, Program, RegionDecl};
+use crate::trace::InstSite;
 use crate::types::{BlockId, Reg, RegionId, Ty, Value};
 
 /// Incremental builder for [`Program`]s.
@@ -92,6 +93,18 @@ impl ProgramBuilder {
     /// every loop header created in between falls inside the range.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// Where the next instruction would go: the current block and the
+    /// index it would take there (the block's length, so the terminator
+    /// position when nothing more is emitted before [`finish`]).
+    ///
+    /// [`finish`]: ProgramBuilder::finish
+    pub fn insertion_point(&self) -> InstSite {
+        InstSite {
+            block: self.current,
+            index: self.blocks[self.current.index()].insts.len(),
+        }
     }
 
     /// Emit `trips` iterations of serial glue work mixing into `acc`:

@@ -76,6 +76,11 @@ pub struct RunReport {
     /// Orchestrator register file at program end.
     #[serde(skip)]
     pub final_regs: Vec<Value>,
+    /// One cycle count per cut given to [`Machine::with_cuts`] that the
+    /// run reached, in cut order: the cycle count a program ending at
+    /// that cut would have run for. Empty when the machine had no cuts.
+    #[serde(skip)]
+    pub marks: Vec<u64>,
 }
 
 impl RunReport {
@@ -328,9 +333,25 @@ pub struct Machine<'p> {
     /// (computed once from [`inst_latency`], so the two engines can
     /// never drift).
     uop_lat: Vec<u32>,
+    /// Sites at which core 0 records a mark ([`Machine::with_cuts`]), in
+    /// the order the program reaches them.
+    cuts: Vec<InstSite>,
+    /// `cuts[marks.len()]`, or [`NO_CUT`] once every cut is marked (and
+    /// when there are none), so the in-order issue loops pay one compare
+    /// per slot for cuts.
+    next_cut: InstSite,
+    /// The cycle count at each cut reached so far (see
+    /// [`RunReport::marks`]).
+    marks: Vec<u64>,
 }
 
 const MAX_ITER_SAMPLES: usize = 1 << 16;
+/// A site no thread reaches: the value of [`Machine::next_cut`] when no
+/// cut is left to mark.
+const NO_CUT: InstSite = InstSite {
+    block: BlockId(u32::MAX),
+    index: usize::MAX,
+};
 /// Extra cycles a coherence-mediated wait pays to observe a flag after
 /// the transfer completes (spin-loop detection).
 const SPIN_OVERHEAD: u64 = 2;
@@ -446,7 +467,42 @@ impl<'p> Machine<'p> {
             sink: CapSink { mem: Vec::new() },
             decoded,
             uop_lat,
+            cuts: Vec::new(),
+            next_cut: NO_CUT,
+            marks: Vec::new(),
             cfg,
+        }
+    }
+
+    /// The same machine, recording a mark at each of `cuts`: sites in
+    /// the order the program reaches them, such as the nest cuts of a
+    /// generated program (`NestBoundary` in `helix-workloads`).
+    ///
+    /// The mark of a cut is `now + 1` at the first cycle in which core
+    /// 0's issue loop arrives at the site with an issue slot free and no
+    /// fetch bubble. That is the cycle count of the same program ended
+    /// by a `ret` at the site: the `ret` would issue in that slot. Only
+    /// the in-order issue loops record marks, and they are exact only on
+    /// sequential runs ([`simulate_sequential`]'s machine). Marks come
+    /// back as [`RunReport::marks`]; a run that never reaches a cut
+    /// returns fewer marks than cuts.
+    pub fn with_cuts(mut self, cuts: &[InstSite]) -> Machine<'p> {
+        self.cuts = cuts.to_vec();
+        self.next_cut = cuts.first().copied().unwrap_or(NO_CUT);
+        self
+    }
+
+    /// Core `cid` is at [`Machine::next_cut`] with an issue slot free:
+    /// mark it on core 0, along with any further cuts at the same site.
+    #[cold]
+    fn mark_cut(&mut self, cid: usize) {
+        if cid != 0 {
+            return;
+        }
+        let at = self.next_cut;
+        while self.next_cut == at {
+            self.marks.push(self.now + 1);
+            self.next_cut = self.cuts.get(self.marks.len()).copied().unwrap_or(NO_CUT);
         }
     }
 
@@ -519,6 +575,7 @@ impl<'p> Machine<'p> {
             iterations: self.iterations,
             iteration_lengths: self.iteration_lengths.clone(),
             final_regs: self.cores[0].thread.regs.clone(),
+            marks: self.marks.clone(),
         }
     }
 
@@ -1295,6 +1352,10 @@ impl<'p> Machine<'p> {
                 }
                 break;
             }
+            let th = &self.cores[cid].thread;
+            if th.block == self.next_cut.block && th.ip == self.next_cut.index {
+                self.mark_cut(cid);
+            }
             // Terminator next?
             if let Some(term) = self.cores[cid].thread.peek_terminator(self.program) {
                 if let Terminator::Branch { cond, .. } = term {
@@ -1508,6 +1569,10 @@ impl<'p> Machine<'p> {
             if th.finished {
                 break;
             }
+            if th.block == self.next_cut.block && th.ip == self.next_cut.index {
+                self.mark_cut(cid);
+            }
+            let th = &self.cores[cid].thread;
             let meta = dec.block(th.block);
             if th.ip >= meta.len as usize {
                 // Terminator next.

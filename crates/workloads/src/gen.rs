@@ -16,10 +16,11 @@ use crate::spec::{
     UpdateOp, UpdateValue,
 };
 use helix_ir::{
-    AddrExpr, BinOp, Intrinsic, Operand, Program, ProgramBuilder, Reg, RegionId, Ty, UnOp,
+    AddrExpr, BinOp, InstSite, Intrinsic, Operand, Program, ProgramBuilder, Reg, RegionId, Ty, UnOp,
 };
 
-/// Block-id range one loop nest occupies in a generated program.
+/// Block-id range and cut points of one loop nest in a generated
+/// program.
 ///
 /// Boundaries are half-open `[first_block, end_block)` over the
 /// program's block ids. Every loop header created while lowering the
@@ -28,6 +29,13 @@ use helix_ir::{
 /// carried-state loads) land in the previous nest's exit block, which
 /// is irrelevant for mapping *loops* — the only thing the compiler
 /// parallelizes — onto nests.
+///
+/// A *cut* is the site where [`generate_prefix`] ends its program with
+/// a `ret`; in the composed program the same site holds the next
+/// instruction, or the block's terminator. A sequential run that records
+/// the cycle at which it reaches each cut (`Machine::with_cuts` in
+/// `helix-sim`) measures every nest's in-context weight in one
+/// simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NestBoundary {
     /// Nest name from the spec.
@@ -36,12 +44,24 @@ pub struct NestBoundary {
     pub first_block: usize,
     /// One past the last block id created for this nest.
     pub end_block: usize,
+    /// The cut after this nest's serial glue and import store, when it
+    /// has either.
+    pub glue_cut: Option<InstSite>,
+    /// The cut after this nest's phases; `None` for the last nest,
+    /// whose end is the end of the program.
+    pub end_cut: Option<InstSite>,
 }
 
 impl NestBoundary {
     /// Whether `block` (a block id index) falls inside this nest.
     pub fn contains(&self, block: usize) -> bool {
         (self.first_block..self.end_block).contains(&block)
+    }
+
+    /// This nest's cuts in program order: after the glue, after the
+    /// phases.
+    pub fn cuts(&self) -> impl Iterator<Item = InstSite> {
+        self.glue_cut.into_iter().chain(self.end_cut)
     }
 }
 
@@ -73,8 +93,9 @@ fn declare_regions(b: &mut ProgramBuilder, regions: &[RegionSpec], n: i64) -> Ve
         .collect()
 }
 
-/// Lower `spec` at `scale`, also returning the block-id boundary of
-/// every loop nest (empty for classic single-pipeline scenarios).
+/// Lower `spec` at `scale`, also returning the block-id boundary and
+/// cut points of every loop nest (empty for classic single-pipeline
+/// scenarios).
 ///
 /// Single-pipeline specs take exactly the historical lowering path, so
 /// their programs stay bit-identical to what earlier revisions
@@ -111,7 +132,8 @@ pub fn generate_with_nests(
 /// Shared multi-nest lowering: emit nests `0..nests` in full and, when
 /// `glue_of_next` is set, the glue/import preamble of nest `nests`
 /// without its phases. Returns the boundary of every fully-lowered
-/// nest. The builder must already hold the shared region declarations;
+/// nest, with its cuts: the builder's insertion point after its glue
+/// and import, and after its phases unless it is the spec's last nest. The builder must already hold the shared region declarations;
 /// this declares every nest's private regions (so the memory layout is
 /// identical for every cut of the same spec).
 fn lower_multi_nest(
@@ -144,6 +166,7 @@ fn lower_multi_nest(
     for (k, nest) in spec.nests.iter().enumerate().take(upto) {
         let first_block = b.block_count();
         let glue = nest.glue.eval(n);
+        let mut glue_cut = None;
         if glue > 0 || nest.import.is_some() {
             let acc = b.reg();
             match carried {
@@ -156,6 +179,7 @@ fn lower_multi_nest(
             if let Some(import) = &nest.import {
                 b.store(acc, AddrExpr::region(shared_rid(import), 0), Ty::I64);
             }
+            glue_cut = Some(b.insertion_point());
         }
         if k == nests {
             break; // glue-only cut: the phases of nest `nests` are excluded
@@ -173,6 +197,8 @@ fn lower_multi_nest(
             name: nest.name.clone(),
             first_block,
             end_block: b.block_count(),
+            glue_cut,
+            end_cut: (k + 1 < spec.nests.len()).then(|| b.insertion_point()),
         });
         if let Some(export) = &nest.export {
             carried = Some(shared_rid(export));
@@ -187,11 +213,13 @@ fn lower_multi_nest(
 /// preamble of nest `nests` without its phases.
 ///
 /// Because multi-nest lowering only ever appends, a prefix program
-/// executes identically to the composed program up to its cut point:
-/// simulating successive prefixes sequentially and differencing the
-/// cycle counts yields each nest's (and each glue stretch's) exact
-/// in-context cost — warm caches included — which is how scenario and
-/// campaign reports derive coverage weights.
+/// executes identically to the composed program up to its cut point
+/// (the [`NestBoundary`] cut it ends at). Reports do not simulate
+/// prefixes: they read each cut's cycle from the whole program's one
+/// sequential run. Prefix programs are the independent oracle for those
+/// marks — a prefix's sequential cycle count equals the whole run's mark
+/// at its cut (`tests/nest_marks.rs`), so differencing successive
+/// prefixes gives the same in-context weights.
 pub fn generate_prefix(
     spec: &ScenarioSpec,
     scale: Scale,

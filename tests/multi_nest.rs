@@ -195,3 +195,46 @@ fn campaigns_emit_derived_speedup_vs_coverage_rows() {
     assert!(report.derived.is_empty());
     assert!(!report.to_json().contains("\"derived\""));
 }
+
+/// The two paths to a nest weight read the same marks: a campaign's
+/// derived row takes them from its `generations` cell's sequential run,
+/// `run_scenario` from its own whole-program run. At the same core
+/// count the weights must be equal, bit for bit.
+#[test]
+fn derived_row_weights_equal_scenario_weights() {
+    let scenario = committed("970.pipeline");
+    let spec = CampaignSpec {
+        name: "weights-pin".into(),
+        description: String::new(),
+        scenarios: vec!["unused".into()],
+        scale: Scale::Test,
+        seed: 0,
+        grid: CampaignGrid {
+            cores: vec![8],
+            sweep_cores: vec![],
+            experiments: vec![CampaignExperiment::Generations],
+            nest_override: None,
+        },
+        resilience: Default::default(),
+    };
+    let (campaign, _) = run_campaign(
+        &spec,
+        std::slice::from_ref(&scenario),
+        &RunOptions::new(),
+        &ExperimentOptions::default(),
+    )
+    .expect("campaign runs");
+    let report = run_scenario(&scenario, &RunOptions::new().with_cores(8)).expect("scenario runs");
+    let derived: Vec<(String, f64, f64)> = campaign.derived[0]
+        .nests
+        .iter()
+        .map(|n| (n.name.clone(), n.weight, n.glue_weight))
+        .collect();
+    let direct: Vec<(String, f64, f64)> = report
+        .nests
+        .iter()
+        .map(|n| (n.name.clone(), n.weight, n.glue_weight))
+        .collect();
+    assert_eq!(derived.len(), 3);
+    assert_eq!(derived, direct);
+}
