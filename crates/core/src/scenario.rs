@@ -15,6 +15,7 @@ use helix_workloads::spec::{CompilerGen, MachineKind};
 use helix_workloads::{generate_nest, generate_with_nests, NestBoundary, Scale, ScenarioSpec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One simulated configuration.
@@ -258,12 +259,12 @@ fn check_helix_cores(spec: &ScenarioSpec, cores: usize, overridden: bool) -> Res
 /// result, so [`Plan::run`] runs a scenario's jobs in parallel.
 enum Job<'a> {
     /// The scenario program on `machine` at `cores`. The conventional
-    /// and HELIX-RC machines run `compiled`, or compile at `cores` when
-    /// it is `None` (a sweep point). A sequential run marks the plan's
-    /// nest cuts.
+    /// and HELIX-RC machines run the `main` compile, or compile at
+    /// `cores` when it is `None` (a sweep point). A sequential run marks
+    /// the plan's nest cuts.
     Scenario {
         program: &'a helix_ir::Program,
-        compiled: Option<&'a CompiledProgram>,
+        main: Option<&'a MainCompile<'a>>,
         machine: MachineKind,
         cores: usize,
     },
@@ -273,6 +274,24 @@ enum Job<'a> {
         machine: MachineKind,
         cores: usize,
     },
+}
+
+/// The scenario program's compile at the main core count. The first
+/// job that needs it compiles it, and the jobs that do not need it run
+/// beside that compile instead of waiting for it.
+struct MainCompile<'a> {
+    program: &'a helix_ir::Program,
+    hcc: HccConfig,
+    done: OnceLock<Result<CompiledProgram, ExpError>>,
+}
+
+impl MainCompile<'_> {
+    fn get(&self) -> Result<&CompiledProgram, ExpError> {
+        let done = self
+            .done
+            .get_or_init(|| compile(self.program, &self.hcc).map_err(ExpError::from));
+        done.as_ref().map_err(Clone::clone)
+    }
 }
 
 /// What one [`Job`] measured.
@@ -359,7 +378,7 @@ impl<'a> Plan<'a> {
         pushed.unwrap_or_else(|| {
             self.push(Job::Scenario {
                 program,
-                compiled: None,
+                main: None,
                 machine: MachineKind::Sequential,
                 cores,
             })
@@ -400,12 +419,12 @@ impl<'a> Plan<'a> {
         match *job {
             Job::Scenario {
                 program,
-                compiled,
+                main,
                 machine,
                 cores,
             } => self.simulate(
                 program,
-                compiled,
+                main.map(MainCompile::get).transpose()?,
                 machine,
                 cores,
                 &machine_label(machine, cores),
@@ -483,7 +502,7 @@ impl ScenarioJobs {
     fn push<'a>(
         plan: &mut Plan<'a>,
         program: &'a helix_ir::Program,
-        compiled: &'a CompiledProgram,
+        main: &'a MainCompile<'a>,
         cores: usize,
     ) -> ScenarioJobs {
         let spec = plan.spec;
@@ -495,7 +514,7 @@ impl ScenarioJobs {
                 MachineKind::Sequential => plan.sequential(program, cores),
                 _ => plan.push(Job::Scenario {
                     program,
-                    compiled: Some(compiled),
+                    main: Some(main),
                     machine,
                     cores,
                 }),
@@ -510,7 +529,7 @@ impl ScenarioJobs {
                 let seq = plan.sequential(program, c);
                 let helix = plan.push(Job::Scenario {
                     program,
-                    compiled: None,
+                    main: None,
                     machine: MachineKind::HelixRc,
                     cores: c,
                 });
@@ -603,8 +622,10 @@ fn run_row(
 ///
 /// The simulations are independent jobs that run in parallel; rows are
 /// assembled in spec order afterwards, and the error returned is the
-/// one the serial order meets first: machines in spec order, then the
-/// sweep, then the nests.
+/// one the serial order meets first: the compile, then machines in spec
+/// order, then the sweep, then the nests. The compile is made by the
+/// first job that needs it, so the sequential and nest jobs do not wait
+/// for it.
 ///
 /// Of `options` it reads the scale (default `Test`), the `cores` and
 /// `fuel` overrides of the spec's `[run]` section, and `attribution`;
@@ -615,12 +636,18 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<Scenari
     check_helix_cores(spec, cores, options.cores.is_some())?;
     let (program, boundaries) = generate_with_nests(spec, scale)?;
     let fuel = options.fuel.unwrap_or(spec.run.fuel);
-    let compiled = compile(&program, &hcc_config(spec.run.compiler, cores as u32))?;
+    let main = MainCompile {
+        program: &program,
+        hcc: hcc_config(spec.run.compiler, cores as u32),
+        done: OnceLock::new(),
+    };
 
     let cuts: Vec<InstSite> = boundaries.iter().flat_map(NestBoundary::cuts).collect();
     let mut plan = Plan::new(spec, scale, fuel, spec.run.compiler, &cuts);
-    let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, cores);
+    let jobs = ScenarioJobs::push(&mut plan, &program, &main, cores);
     let done = plan.run();
+    // In the serial order the compile precedes every simulation.
+    let compiled = main.get()?;
     let (runs, sweep, nests) = jobs.rows(spec, &boundaries, cores, &done, options.attribution)?;
 
     Ok(ScenarioReport {
@@ -814,9 +841,13 @@ mod tests {
         spec.run.sweep_cores = vec![4, 8];
         let (program, nests) = generate_with_nests(&spec, Scale::Test).unwrap();
         let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
-        let compiled = compile(&program, &hcc_config(CompilerGen::V3, 16)).unwrap();
+        let main = MainCompile {
+            program: &program,
+            hcc: hcc_config(CompilerGen::V3, 16),
+            done: OnceLock::new(),
+        };
         let mut plan = Plan::new(&spec, Scale::Test, spec.run.fuel, CompilerGen::V3, &cuts);
-        let jobs = ScenarioJobs::push(&mut plan, &program, &compiled, 16);
+        let jobs = ScenarioJobs::push(&mut plan, &program, &main, 16);
         let ok = plan.run();
         assert!(jobs.rows(&spec, &nests, 16, &ok, false).is_ok());
 
