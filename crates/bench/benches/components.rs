@@ -88,8 +88,9 @@ fn cycles_per_sec(c: &mut Criterion) {
 /// which every headline figure simulates and which used to be the
 /// slowest simulator path by an order of magnitude. Tracked alongside
 /// `sim/cycles_per_sec` by the bench snapshot job; the naive variant
-/// runs the tree-walking interpreter with the per-cycle loop, so the
-/// two numbers are the before/after of the pre-decoded engine plus the
+/// steps the reference interpreter (`EngineSel::Tree`) with the
+/// per-cycle loop, so the two numbers are the before/after of the
+/// decoded functional step, event-skipping fast-forward and the
 /// allocation-free ring hot path.
 fn helix_rc_cycles_per_sec(c: &mut Criterion) {
     let w = by_name("175.vpr", Scale::Test).unwrap();

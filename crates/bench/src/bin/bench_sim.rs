@@ -77,8 +77,8 @@ impl WorkloadRow {
 /// machine shapes the experiments exercise.
 ///
 /// Two passes: every fast-path measurement happens before any naive
-/// one, so the long tree-interpreter runs cannot thermally degrade the
-/// fast numbers the perf gate tracks.
+/// one, so the long naive runs cannot thermally degrade the fast
+/// numbers the perf gate tracks.
 fn workload_rows(ws: &[Workload]) -> Vec<WorkloadRow> {
     let shapes: [(&'static str, MachineConfig, bool); 3] = [
         ("conventional-16", MachineConfig::conventional(16), true),
@@ -123,9 +123,10 @@ fn workload_rows(ws: &[Workload]) -> Vec<WorkloadRow> {
         }
     }
 
-    // Pass 2: the naive baseline — the pre-optimization implementation,
-    // i.e. the tree-walking interpreter driving the per-cycle loop —
-    // plus the runtime cycle-exactness assertion against the fast path.
+    // Pass 2: the naive baseline — the reference interpreter's step
+    // (`EngineSel::Tree`) inside the shared issue loops, with the
+    // one-cycle-at-a-time loop instead of fast-forward — plus the
+    // runtime cycle-exactness assertion against the fast path.
     let mut row = 0;
     for (wi, w) in ws.iter().enumerate() {
         for (label, cfg, parallel) in &shapes {
@@ -191,11 +192,11 @@ fn lattice_sweep_optimized(ws: &[Workload]) {
 /// headline experiment grid) at its native full scale, in three
 /// execution modes:
 ///
-/// * **before** — per-cell runs on the tree-walking interpreter with
-///   the naive one-cycle-at-a-time loop (no event-skipping
-///   fast-forward): the pre-optimization structure, every cell
-///   compiling and simulating everything itself on the naive engine —
-///   the same "before" convention every workload row uses;
+/// * **before** — per-cell runs that step the reference interpreter
+///   (`EngineSel::Tree`) with the naive one-cycle-at-a-time loop (no
+///   event-skipping fast-forward), every cell compiling and simulating
+///   everything itself — the same "before" convention every workload
+///   row uses;
 /// * **percell_decoded** — per-cell runs on the decoded engine, i.e.
 ///   the shipped pre-lane behaviour (`--lanes 1`);
 /// * **after** — `--lanes 8`: per-scenario shared compile/decode/report
@@ -419,12 +420,13 @@ fn main() {
                 .with("after_secs", f6(after_secs))
                 .with("speedup", f3(before_secs / after_secs)),
         )
-        // Full-profile campaign wall-clock: per-cell tree interpreter
-        // (naive before) vs batched lanes (after), with the per-cell
-        // decoded time recorded so the dedup-only contribution is
-        // visible. The perf gate requires `speedup` >= 2.5x on every PR
-        // (an absolute floor calibrated to single-CPU hosts, where the
-        // naive baseline runs comparatively faster; see perf_gate.rs).
+        // Full-profile campaign wall-clock: per-cell interpreter step
+        // with the naive loop (before) vs batched lanes (after), with
+        // the per-cell decoded time recorded so the dedup-only
+        // contribution is visible. The perf gate requires `speedup` >=
+        // 2.5x on every PR (an absolute floor calibrated to single-CPU
+        // hosts, where the naive baseline runs comparatively faster;
+        // see perf_gate.rs).
         .with(
             "campaign_full",
             Json::obj()

@@ -130,10 +130,10 @@ fn run_batch(
     if misses.is_empty() {
         return Ok(results.into_iter().map(|r| r.expect("all hits")).collect());
     }
-    let decoded = match (&opts.cache, opts.engine.is_decoded()) {
-        (Some(cache), true) => Some(cache.decoded(decode_key, program)),
-        _ => None,
-    };
+    let decoded = opts
+        .cache
+        .as_ref()
+        .map(|cache| cache.decoded(decode_key, program));
     let computed: Vec<Result<RunReport, ExpError>> = misses
         .par_iter()
         .map(|&ix| {

@@ -111,29 +111,6 @@ impl Thread {
         }
     }
 
-    /// The instruction about to execute, or `None` if the terminator (or
-    /// nothing) is next.
-    pub fn peek<'p>(&self, program: &'p Program) -> Option<&'p Inst> {
-        if self.finished {
-            return None;
-        }
-        program.graph.block(self.block).insts.get(self.ip)
-    }
-
-    /// The terminator about to execute, if the thread has reached the end
-    /// of its block.
-    pub fn peek_terminator<'p>(&self, program: &'p Program) -> Option<&'p Terminator> {
-        if self.finished {
-            return None;
-        }
-        let b = program.graph.block(self.block);
-        if self.ip >= b.insts.len() {
-            Some(&b.term)
-        } else {
-            None
-        }
-    }
-
     /// Evaluate an operand against this thread's registers.
     pub fn eval(&self, op: Operand) -> Value {
         match op {
@@ -414,24 +391,6 @@ mod tests {
             t.step(&p, &mut env, &mut sink).unwrap(),
             StepEvent::Done
         ));
-    }
-
-    #[test]
-    fn peek_matches_step() {
-        let mut b = ProgramBuilder::new("peek");
-        let r = b.reg();
-        b.const_i(r, 7);
-        b.bin(r, BinOp::Add, r, 1i64);
-        let p = b.finish();
-        let mut env = Env::for_program(&p);
-        let mut t = Thread::at_entry(&p);
-        assert!(matches!(t.peek(&p), Some(Inst::Const { .. })));
-        assert!(t.peek_terminator(&p).is_none());
-        t.step(&p, &mut env, &mut crate::trace::NullSink).unwrap();
-        assert!(matches!(t.peek(&p), Some(Inst::Bin { .. })));
-        t.step(&p, &mut env, &mut crate::trace::NullSink).unwrap();
-        assert!(t.peek(&p).is_none());
-        assert!(matches!(t.peek_terminator(&p), Some(Terminator::Return)));
     }
 
     #[test]

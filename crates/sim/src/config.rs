@@ -35,20 +35,23 @@ pub struct CacheConfig {
     pub hit_latency: u32,
 }
 
-/// Which execution engine drives the cores' functional state and issue
-/// loops. All three engines produce bit-identical results (pinned by
-/// the decode- and lane-exactness regression tests); they differ only
-/// in speed and sharing.
+/// Which functional step executes the cores' instructions. Every engine
+/// runs the same issue loops, whose timing metadata (micro-op kind,
+/// uses, destination, latency, folded address) comes from the decoded
+/// tables (`helix_ir::decode`); the engine picks only how an issued
+/// instruction updates registers and memory. Reports are bit-identical
+/// across engines (pinned by the decode- and lane-exactness regression
+/// tests and `tests/golden/engine_timing.txt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSel {
-    /// The original tree-walking interpreter over the `Inst` enum, kept
-    /// as a cross-check and debugging reference.
+    /// The reference interpreter's step (`helix_ir::interp::Thread::step`)
+    /// over the `Inst` tree: an oracle that checks the decoded step
+    /// against the IR's own semantics.
     Tree,
-    /// Pre-decoded micro-op streams (`helix_ir::decode`): the program is
-    /// lowered once into flat tables with pre-resolved register slots,
-    /// folded immediates, and pre-evaluated address bases, so the
-    /// per-instruction hot path is an index-dispatch loop. Cycle-exact
-    /// with the tree interpreter; the default.
+    /// The decoded step (`DecodedProgram::step`): the program is lowered
+    /// once into flat tables with pre-resolved register slots, folded
+    /// immediates, and pre-evaluated address bases, so the
+    /// per-instruction hot path is an index-dispatch loop. The default.
     Decoded,
     /// The decoded engine driven through a
     /// [`SimSession`](crate::SimSession): many machines share one
@@ -57,14 +60,6 @@ pub enum EngineSel {
     /// Experiments and campaigns never batch; the selection serves
     /// explore's lane-invariance oracle and the exactness tests.
     Batched,
-}
-
-impl EngineSel {
-    /// Whether this engine runs on pre-decoded micro-op tables (and can
-    /// therefore share one decode across machines).
-    pub fn is_decoded(self) -> bool {
-        !matches!(self, EngineSel::Tree)
-    }
 }
 
 /// Wait-grant policy (paper §3.2).
@@ -147,9 +142,10 @@ pub struct MachineConfig {
     /// regression tests) — so it is on by default; disable it to
     /// cross-check or to measure the naive loop.
     pub fast_forward: bool,
-    /// Execution engine selection: pre-decoded micro-ops (default), the
-    /// tree-walking interpreter, or the batched lane engine. All
-    /// produce bit-identical results; they differ only in speed.
+    /// Functional-step selection: pre-decoded micro-ops (default), the
+    /// reference interpreter, or the batched lane engine. All run the
+    /// same issue loops and produce bit-identical results; they differ
+    /// only in speed.
     pub engine: EngineSel,
 }
 

@@ -170,32 +170,9 @@ impl CoreState {
             .map(|r| (*r, self.reg_class[r.index()]))
     }
 
-    /// [`CoreState::blocking_reg`] over an instruction's uses, without
-    /// materializing them (ties resolve to the last use, matching
-    /// `max_by_key`).
-    pub fn blocking_use(&self, inst: &Inst, now: u64) -> Option<(Reg, Bucket)> {
-        let mut worst: Option<Reg> = None;
-        inst.for_each_use(|r| {
-            if self.reg_ready[r.index()] > now
-                && worst.is_none_or(|w| self.reg_ready[r.index()] >= self.reg_ready[w.index()])
-            {
-                worst = Some(r);
-            }
-        });
-        worst.map(|r| (r, self.reg_class[r.index()]))
-    }
-
-    /// [`CoreState::operands_ready`] over an instruction's uses, without
-    /// materializing them.
-    pub fn operands_ready_for(&self, inst: &Inst) -> u64 {
-        let mut ready = 0;
-        inst.for_each_use(|r| ready = ready.max(self.reg_ready[r.index()]));
-        ready
-    }
-
-    /// [`CoreState::blocking_use`] over a pre-decoded register-slot list
-    /// (the decoded engine's use pool). Identical tie-breaking: the last
-    /// slot with the maximal ready time wins.
+    /// [`CoreState::blocking_reg`] over a pre-decoded register-slot list
+    /// (a micro-op's use pool), without materializing registers. Ties
+    /// resolve to the last slot with the maximal ready time.
     pub fn blocking_slot(&self, slots: &[u32], now: u64) -> Option<(Reg, Bucket)> {
         let mut worst: Option<u32> = None;
         for &r in slots {

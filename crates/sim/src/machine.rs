@@ -2,7 +2,7 @@
 //! orchestration, and the per-core issue logic for both core models.
 
 use crate::attribution::{Attribution, Bucket};
-use crate::config::{CoreModel, MachineConfig};
+use crate::config::{CoreModel, EngineSel, MachineConfig};
 use crate::core::{inst_latency, CoreState, RobEntry, RunState};
 use crate::memsys::{MemStats, MemSystem};
 use crate::race::{RaceDetector, RaceViolation};
@@ -11,7 +11,7 @@ use helix_hcc::{LiveOutResolve, LoopPlan};
 use helix_ir::decode::{DTerm, DTermKind, DecodedProgram, UOpKind, NO_REG};
 use helix_ir::interp::{Env, InterpError, StepEvent, Thread};
 use helix_ir::trace::{InstSite, MemAccess, TraceSink};
-use helix_ir::{BlockId, Inst, Program, Reg, SegmentId, Terminator, Value};
+use helix_ir::{BlockId, Program, Reg, SegmentId, Value};
 use helix_ring_cache::{LoadIssue, RingCache, RingStats};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -324,14 +324,13 @@ pub struct Machine<'p> {
     wait_memo: Vec<WaitMemo>,
     /// Reused memory-access capture buffer for functional steps.
     sink: CapSink,
-    /// Pre-decoded micro-op tables (the default engine). `None` when the
-    /// configuration selects the tree interpreter. Shared behind an
-    /// `Arc` so the issue loops can hold it while mutating the machine
-    /// and so lane sessions can share one decode across machines.
-    decoded: Option<Arc<DecodedProgram>>,
+    /// Pre-decoded micro-op tables: every engine's issue loops read
+    /// their timing metadata here. Shared behind an `Arc` so the issue
+    /// loops can hold it while mutating the machine and so lane
+    /// sessions can share one decode across machines.
+    decoded: Arc<DecodedProgram>,
     /// Per-micro-op execution latency, indexed like the decoded table
-    /// (computed once from [`inst_latency`], so the two engines can
-    /// never drift).
+    /// (computed once from [`inst_latency`]).
     uop_lat: Vec<u32>,
     /// Sites at which core 0 records a mark ([`Machine::with_cuts`]), in
     /// the order the program reaches them.
@@ -358,38 +357,23 @@ const SPIN_OVERHEAD: u64 = 2;
 
 impl<'p> Machine<'p> {
     /// Build a machine over a (possibly transformed) program and its
-    /// parallel-loop plans.
+    /// parallel-loop plans, decoding the program for this machine alone.
     pub fn new(program: &'p Program, plans: &'p [LoopPlan], cfg: MachineConfig) -> Machine<'p> {
-        let decoded = cfg
-            .engine
-            .is_decoded()
-            .then(|| Arc::new(helix_ir::decode::decode(program)));
-        Machine::build(program, plans, cfg, decoded)
+        let decoded = Arc::new(helix_ir::decode::decode(program));
+        Machine::with_decoded(program, plans, cfg, decoded)
     }
 
     /// Build a machine over an already-decoded program, sharing the
     /// decoded micro-op tables with other machines (lane sessions decode
-    /// once per scenario and hand every lane the same `Arc`). The
-    /// configuration must select a decoded engine. Results are
-    /// bit-identical to [`Machine::new`] with the same inputs.
+    /// once per scenario and hand every lane the same `Arc`). Every
+    /// engine reads its timing from the decode; the engine only picks
+    /// the functional step. Results are bit-identical to
+    /// [`Machine::new`] with the same inputs.
     pub fn with_decoded(
         program: &'p Program,
         plans: &'p [LoopPlan],
         cfg: MachineConfig,
         decoded: Arc<DecodedProgram>,
-    ) -> Machine<'p> {
-        assert!(
-            cfg.engine.is_decoded(),
-            "with_decoded requires a decoded engine"
-        );
-        Machine::build(program, plans, cfg, Some(decoded))
-    }
-
-    fn build(
-        program: &'p Program,
-        plans: &'p [LoopPlan],
-        cfg: MachineConfig,
-        decoded: Option<Arc<DecodedProgram>>,
     ) -> Machine<'p> {
         cfg.assert_valid();
         let env = Env::for_program(program);
@@ -425,10 +409,7 @@ impl<'p> Machine<'p> {
                 member
             })
             .collect();
-        let uop_lat = decoded
-            .as_ref()
-            .map(|d| d.insts().iter().map(inst_latency).collect())
-            .unwrap_or_default();
+        let uop_lat = decoded.insts().iter().map(inst_latency).collect();
         Machine {
             program,
             plans,
@@ -1318,16 +1299,10 @@ impl<'p> Machine<'p> {
             return Ok(CoreCycle::Progress); // state changed this cycle
         }
 
-        let cycle = if let Some(dec) = self.decoded.clone() {
-            match self.cfg.core {
-                CoreModel::InOrder { width } => self.tick_inorder_dec(cid, width, &dec)?,
-                CoreModel::OutOfOrder { width, rob } => self.tick_ooo_dec(cid, width, rob, &dec)?,
-            }
-        } else {
-            match self.cfg.core {
-                CoreModel::InOrder { width } => self.tick_inorder(cid, width)?,
-                CoreModel::OutOfOrder { width, rob } => self.tick_ooo(cid, width, rob)?,
-            }
+        let dec = self.decoded.clone();
+        let cycle = match self.cfg.core {
+            CoreModel::InOrder { width } => self.tick_inorder(cid, width, &dec)?,
+            CoreModel::OutOfOrder { width, rob } => self.tick_ooo(cid, width, rob, &dec)?,
         };
         if resolved_any || lap_started {
             return Ok(CoreCycle::Progress);
@@ -1335,216 +1310,10 @@ impl<'p> Machine<'p> {
         Ok(cycle)
     }
 
-    /// In-order, stall-on-use issue of up to `width` instructions.
-    fn tick_inorder(&mut self, cid: usize, width: u32) -> Result<CoreCycle, SimError> {
-        let now = self.now;
-        let mut issued = 0u32;
-        let mut any_original = false;
-        let mut any_added = false;
-        let mut stall: Option<Bucket> = None;
-        let mut wake = u64::MAX;
-
-        while issued < width {
-            if now < self.cores[cid].fetch_stall_until {
-                if issued == 0 {
-                    stall = Some(Bucket::Computation); // branch redirect bubble
-                    wake = self.cores[cid].fetch_stall_until;
-                }
-                break;
-            }
-            let th = &self.cores[cid].thread;
-            if th.block == self.next_cut.block && th.ip == self.next_cut.index {
-                self.mark_cut(cid);
-            }
-            // Terminator next?
-            if let Some(term) = self.cores[cid].thread.peek_terminator(self.program) {
-                if let Terminator::Branch { cond, .. } = term {
-                    if let Some(r) = cond.reg() {
-                        if let Some((r, class)) = self.cores[cid].blocking_reg(&[r], now) {
-                            if issued == 0 {
-                                stall = Some(class);
-                                wake = self.cores[cid].reg_ready[r.index()];
-                            }
-                            break;
-                        }
-                    }
-                }
-                let stop = self.issue_terminator(cid, term)?;
-                issued += 1;
-                any_original = true;
-                if stop {
-                    break;
-                }
-                continue;
-            }
-            let Some(inst) = self.cores[cid].thread.peek(self.program) else {
-                break; // finished
-            };
-
-            match inst {
-                Inst::Wait { seg } => {
-                    if !self.cores[cid].granted.contains(seg) {
-                        let iter = match self.cores[cid].run {
-                            RunState::Iter { iter, .. } => iter,
-                            _ => 0,
-                        };
-                        let in_parallel = matches!(self.mode, Mode::Parallel(_));
-                        if in_parallel {
-                            match self.check_wait(cid, *seg, iter) {
-                                Ok(()) => {
-                                    self.cores[cid].granted.insert(*seg);
-                                }
-                                Err((block, observe_at)) => {
-                                    if issued == 0 {
-                                        stall = Some(match block {
-                                            WaitBlock::Dependence => Bucket::DependenceWaiting,
-                                            WaitBlock::Communication => Bucket::Communication,
-                                        });
-                                        wake = observe_at;
-                                    }
-                                    break;
-                                }
-                            }
-                        } else {
-                            self.cores[cid].granted.insert(*seg);
-                        }
-                    }
-                    self.step_functional(cid)?;
-                    issued += 1;
-                    // wait/signal instructions are charged to their own
-                    // bucket unless real work issued too.
-                }
-                Inst::Signal { seg } => {
-                    let seg = *seg;
-                    if !self.cores[cid].signaled.contains(&seg)
-                        && matches!(self.mode, Mode::Parallel(_))
-                    {
-                        if self.cfg.decouple.synch {
-                            let ring = self.ring.as_mut().expect("ring");
-                            if !ring.signal(cid, seg) {
-                                if issued == 0 {
-                                    stall = Some(Bucket::Communication);
-                                    wake = u64::MAX; // drains at a ring event
-                                }
-                                break;
-                            }
-                        }
-                        self.sync.record_signal(seg, cid, now);
-                        // Wake exactly the sleepers dependence-blocked
-                        // on this core's signals.
-                        self.wake_bits |= self.dep_mask[cid];
-                        self.cores[cid].signaled.insert(seg);
-                    }
-                    self.step_functional(cid)?;
-                    issued += 1;
-                }
-                Inst::Load {
-                    addr, shared, dst, ..
-                } => {
-                    if let Some((r, class)) = self.cores[cid].blocking_use(inst, now) {
-                        if issued == 0 {
-                            stall = Some(class);
-                            wake = self.cores[cid].reg_ready[r.index()];
-                        }
-                        break;
-                    }
-                    let a = self.cores[cid].thread.eval_addr(addr, &self.env.mem);
-                    let Some((done, class)) = self.route_load(cid, a, *shared, *dst, now) else {
-                        if issued == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // ring backpressure
-                        }
-                        break;
-                    };
-                    self.step_functional(cid)?;
-                    let core = &mut self.cores[cid];
-                    core.reg_ready[dst.index()] = done; // u64::MAX while pending
-                    core.reg_class[dst.index()] = class;
-                    issued += 1;
-                    if inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-                Inst::Store { addr, shared, .. } => {
-                    if let Some((r, class)) = self.cores[cid].blocking_use(inst, now) {
-                        if issued == 0 {
-                            stall = Some(class);
-                            wake = self.cores[cid].reg_ready[r.index()];
-                        }
-                        break;
-                    }
-                    let a = self.cores[cid].thread.eval_addr(addr, &self.env.mem);
-                    if !self.route_store(cid, a, *shared, now) {
-                        if issued == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // ring backpressure
-                        }
-                        break;
-                    }
-                    self.step_functional(cid)?;
-                    issued += 1;
-                    if inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-                _ => {
-                    if let Some((r, class)) = self.cores[cid].blocking_use(inst, now) {
-                        if issued == 0 {
-                            stall = Some(class);
-                            wake = self.cores[cid].reg_ready[r.index()];
-                        }
-                        break;
-                    }
-                    let lat = inst_latency(inst) as u64;
-                    let dst = inst.def();
-                    self.step_functional(cid)?;
-                    if let Some(d) = dst {
-                        let core = &mut self.cores[cid];
-                        core.reg_ready[d.index()] = now + lat;
-                        core.reg_class[d.index()] = Bucket::Computation;
-                    }
-                    issued += 1;
-                    if self.in_prologue(cid) || inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-            }
-        }
-
-        // Attribute this cycle.
-        let bucket = if issued > 0 {
-            if any_original {
-                Bucket::Computation
-            } else if any_added {
-                Bucket::AdditionalInsts
-            } else {
-                Bucket::WaitSignal
-            }
-        } else {
-            stall.unwrap_or(Bucket::Computation)
-        };
-        self.attr.charge(cid, bucket);
-        if issued > 0 {
-            return Ok(CoreCycle::Progress);
-        }
-        // A `None` stall with zero issue is unexpected; report the next
-        // cycle as the wake time so the fast-forward stays conservative.
-        if stall.is_none() {
-            wake = now + 1;
-        }
-        Ok(CoreCycle::Stalled { bucket, wake })
-    }
-
-    /// In-order issue over the pre-decoded micro-op tables: the decoded
-    /// engine's mirror of [`Machine::tick_inorder`], cycle-exact but with
-    /// no per-step enum walking, operand matching, or allocation.
-    fn tick_inorder_dec(
+    /// In-order, stall-on-use issue of up to `width` micro-ops. Timing
+    /// reads the decoded tables whatever the engine; only the functional
+    /// step differs ([`Machine::step_functional`]).
+    fn tick_inorder(
         &mut self,
         cid: usize,
         width: u32,
@@ -1587,7 +1356,7 @@ impl<'p> Machine<'p> {
                         break;
                     }
                 }
-                let stop = self.issue_terminator_dec(cid, dec, term)?;
+                let stop = self.issue_terminator(cid, dec, term)?;
                 issued += 1;
                 any_original = true;
                 if stop {
@@ -1626,7 +1395,7 @@ impl<'p> Machine<'p> {
                             self.cores[cid].granted.insert(seg);
                         }
                     }
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     issued += 1;
                     // wait/signal instructions are charged to their own
                     // bucket unless real work issued too.
@@ -1651,7 +1420,7 @@ impl<'p> Machine<'p> {
                         self.wake_bits |= self.dep_mask[cid];
                         self.cores[cid].signaled.insert(seg);
                     }
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     issued += 1;
                 }
                 UOpKind::Load { dst, .. } => {
@@ -1672,7 +1441,7 @@ impl<'p> Machine<'p> {
                         break;
                     };
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     let core = &mut self.cores[cid];
                     core.reg_ready[dst as usize] = done; // u64::MAX while pending
                     core.reg_class[dst as usize] = class;
@@ -1700,7 +1469,7 @@ impl<'p> Machine<'p> {
                         break;
                     }
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     issued += 1;
                     if is_added {
                         any_added = true;
@@ -1719,7 +1488,7 @@ impl<'p> Machine<'p> {
                     let lat = self.uop_lat[pc] as u64;
                     let dst = u.dst;
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     if dst != NO_REG {
                         let core = &mut self.cores[cid];
                         core.reg_ready[dst as usize] = now + lat;
@@ -1735,7 +1504,7 @@ impl<'p> Machine<'p> {
             }
         }
 
-        // Attribute this cycle (same policy as the tree engine).
+        // Attribute this cycle.
         let bucket = if issued > 0 {
             if any_original {
                 Bucket::Computation
@@ -1757,8 +1526,9 @@ impl<'p> Machine<'p> {
         Ok(CoreCycle::Stalled { bucket, wake })
     }
 
-    /// Decoded mirror of [`Machine::issue_terminator`].
-    fn issue_terminator_dec(
+    /// Issue a terminator; returns `true` when the issue loop must stop
+    /// (iteration boundary or parallel-loop entry).
+    fn issue_terminator(
         &mut self,
         cid: usize,
         dec: &DecodedProgram,
@@ -1766,7 +1536,7 @@ impl<'p> Machine<'p> {
     ) -> Result<bool, SimError> {
         let now = self.now;
         let from = self.cores[cid].thread.block;
-        let event = self.step_functional_dec(cid, dec)?;
+        let event = self.step_functional(cid, dec)?;
         let StepEvent::Flow { to, .. } = event else {
             // Return: the thread is finished.
             return Ok(true);
@@ -1782,15 +1552,18 @@ impl<'p> Machine<'p> {
         Ok(self.post_flow(cid, from, to))
     }
 
-    /// Decoded mirror of [`Machine::step_functional`]: one functional
-    /// micro-op step, feeding the race detector and live-out tracking.
-    fn step_functional_dec(
-        &mut self,
-        cid: usize,
-        dec: &DecodedProgram,
-    ) -> Result<StepEvent, SimError> {
+    /// Execute the next instruction functionally, feeding the race
+    /// detector and live-out tracking. [`EngineSel::Tree`] steps the
+    /// reference interpreter over the IR; the other engines step the
+    /// decoded micro-ops.
+    fn step_functional(&mut self, cid: usize, dec: &DecodedProgram) -> Result<StepEvent, SimError> {
         self.sink.mem.clear();
-        let event = dec.step(&mut self.cores[cid].thread, &mut self.env, &mut self.sink)?;
+        let thread = &mut self.cores[cid].thread;
+        let event = if self.cfg.engine == EngineSel::Tree {
+            thread.step(self.program, &mut self.env, &mut self.sink)?
+        } else {
+            dec.step(thread, &mut self.env, &mut self.sink)?
+        };
         if matches!(self.mode, Mode::Parallel(_)) {
             // Only defs matter for LastWriter; re-peek is impossible
             // (already stepped), so check the previous micro-op.
@@ -1809,9 +1582,9 @@ impl<'p> Machine<'p> {
         Ok(event)
     }
 
-    /// Shared post-step bookkeeping for a functional step taken inside
-    /// a parallel loop (both engines): feed the race detector with the
-    /// step's memory accesses and track LastWriter live-out defs.
+    /// Post-step bookkeeping for a functional step taken inside a
+    /// parallel loop: feed the race detector with the step's memory
+    /// accesses and track LastWriter live-out defs.
     fn post_step_parallel(&mut self, cid: usize, prev_def: Option<u32>) {
         let mem = std::mem::take(&mut self.sink.mem);
         for access in &mem {
@@ -1863,371 +1636,9 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Execute the next instruction functionally, feeding the race
-    /// detector.
-    fn step_functional(&mut self, cid: usize) -> Result<StepEvent, SimError> {
-        self.sink.mem.clear();
-        let event = self.cores[cid]
-            .thread
-            .step(self.program, &mut self.env, &mut self.sink)?;
-        if matches!(self.mode, Mode::Parallel(_)) {
-            // Only defs matter for LastWriter; re-peek is impossible
-            // (already stepped), so check the previous instruction.
-            let prev_def = if matches!(&self.mode, Mode::Parallel(ctx) if ctx.has_lastwriter) {
-                let th = &self.cores[cid].thread;
-                (th.ip > 0)
-                    .then(|| self.program.graph.block(th.block).insts.get(th.ip - 1))
-                    .flatten()
-                    .and_then(|i| i.def())
-                    .map(|r| r.0)
-            } else {
-                None
-            };
-            self.post_step_parallel(cid, prev_def);
-        }
-        Ok(event)
-    }
-
-    /// Issue a terminator; returns `true` when the issue loop must stop
-    /// (iteration boundary or parallel-loop entry).
-    fn issue_terminator(&mut self, cid: usize, term: &Terminator) -> Result<bool, SimError> {
-        let now = self.now;
-        let from = self.cores[cid].thread.block;
-        let event = self.step_functional(cid)?;
-        let StepEvent::Flow { to, .. } = event else {
-            // Return: the thread is finished.
-            return Ok(true);
-        };
-        // Branch prediction.
-        if let Terminator::Branch { then_, .. } = term {
-            let taken = to == *then_;
-            let correct = self.cores[cid].predictor.update(from, taken);
-            if !correct {
-                self.cores[cid].fetch_stall_until = now + 1 + self.cfg.mispredict_penalty as u64;
-            }
-        }
-        Ok(self.post_flow(cid, from, to))
-    }
-
-    /// Out-of-order dispatch of up to `width` instructions into a
+    /// Out-of-order dispatch of up to `width` micro-ops into a
     /// `rob_cap`-entry window.
-    fn tick_ooo(&mut self, cid: usize, width: u32, rob_cap: u32) -> Result<CoreCycle, SimError> {
-        let now = self.now;
-        // Retire completed entries in order.
-        let mut retired = 0;
-        while retired < width {
-            match self.cores[cid].rob.front() {
-                Some(e) if e.complete <= now => {
-                    self.cores[cid].rob.pop_front();
-                    retired += 1;
-                }
-                _ => break,
-            }
-        }
-
-        let mut dispatched = 0u32;
-        let mut any_original = false;
-        let mut any_added = false;
-        let mut stall: Option<Bucket> = None;
-        let mut wake = u64::MAX;
-        // Whatever else happens, the ROB head's completion re-checks the
-        // pipe (retirement frees slots and fences).
-        let rob_head_wake = self.cores[cid]
-            .rob
-            .front()
-            .map(|e| e.complete.max(now + 1))
-            .unwrap_or(u64::MAX);
-
-        while dispatched < width {
-            if now < self.cores[cid].fetch_stall_until {
-                if dispatched == 0 {
-                    stall = Some(Bucket::Computation);
-                    wake = self.cores[cid].fetch_stall_until;
-                }
-                break;
-            }
-            if self.cores[cid].rob.len() >= rob_cap as usize {
-                if dispatched == 0 {
-                    stall = Some(
-                        self.cores[cid]
-                            .rob
-                            .front()
-                            .map(|e| e.class)
-                            .unwrap_or(Bucket::Computation),
-                    );
-                    wake = rob_head_wake;
-                }
-                break;
-            }
-            if let Some(term) = self.cores[cid].thread.peek_terminator(self.program) {
-                // Branch resolution happens when the condition is ready.
-                let resolve_at = match term {
-                    Terminator::Branch { cond, .. } => cond
-                        .reg()
-                        .map(|r| self.cores[cid].reg_ready[r.index()])
-                        .unwrap_or(now)
-                        .max(now),
-                    _ => now,
-                };
-                if resolve_at == u64::MAX {
-                    if dispatched == 0 {
-                        stall = Some(Bucket::Communication);
-                        wake = u64::MAX; // awaits an outstanding ring load
-                    }
-                    break;
-                }
-                let from = self.cores[cid].thread.block;
-                let event = self.step_functional(cid)?;
-                dispatched += 1;
-                any_original = true;
-                self.cores[cid].rob.push_back(RobEntry {
-                    complete: resolve_at.saturating_add(1),
-                    class: Bucket::Computation,
-                });
-                let StepEvent::Flow { to, .. } = event else {
-                    break;
-                };
-                if let Terminator::Branch { then_, .. } = &term {
-                    let taken = to == *then_;
-                    let correct = self.cores[cid].predictor.update(from, taken);
-                    if !correct {
-                        self.cores[cid].fetch_stall_until =
-                            resolve_at + 1 + self.cfg.mispredict_penalty as u64;
-                    }
-                }
-                // Mode transitions (same rules as in-order).
-                let stop = self.post_flow(cid, from, to);
-                if stop {
-                    break;
-                }
-                continue;
-            }
-            let Some(inst) = self.cores[cid].thread.peek(self.program) else {
-                break;
-            };
-            match inst {
-                Inst::Wait { .. } | Inst::Signal { .. } => {
-                    // Fence: dispatch only with an empty window.
-                    if !self.cores[cid].rob.is_empty() {
-                        if dispatched == 0 {
-                            stall = Some(
-                                self.cores[cid]
-                                    .rob
-                                    .front()
-                                    .map(|e| e.class)
-                                    .unwrap_or(Bucket::Computation),
-                            );
-                            wake = rob_head_wake;
-                        }
-                        break;
-                    }
-                    // Reuse the in-order logic for grant/record by
-                    // falling back to a single-instruction in-order step.
-                    let before = self.cores[cid].thread.dyn_insts;
-                    self.inorder_sync_step(cid, inst, &mut stall, &mut wake, dispatched)?;
-                    if self.cores[cid].thread.dyn_insts == before {
-                        break; // blocked
-                    }
-                    dispatched += 1;
-                }
-                Inst::Load {
-                    addr, shared, dst, ..
-                } => {
-                    let ops_ready = self.cores[cid].operands_ready_for(inst).max(now);
-                    if ops_ready == u64::MAX {
-                        if dispatched == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // awaits an outstanding ring load
-                        }
-                        break; // operand awaits an outstanding ring load
-                    }
-                    let a = self.cores[cid].thread.eval_addr(addr, &self.env.mem);
-                    let Some((done, class)) = self.route_load(cid, a, *shared, *dst, ops_ready)
-                    else {
-                        if dispatched == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // ring backpressure
-                        }
-                        break;
-                    };
-                    self.step_functional(cid)?;
-                    let core = &mut self.cores[cid];
-                    core.reg_ready[dst.index()] = done; // u64::MAX while pending
-                    core.reg_class[dst.index()] = class;
-                    let complete = if done == u64::MAX { now + 1 } else { done };
-                    core.rob.push_back(RobEntry { complete, class });
-                    dispatched += 1;
-                    if inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-                Inst::Store { addr, shared, .. } => {
-                    let ops_ready = self.cores[cid].operands_ready_for(inst).max(now);
-                    if ops_ready == u64::MAX {
-                        if dispatched == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // awaits an outstanding ring load
-                        }
-                        break;
-                    }
-                    let a = self.cores[cid].thread.eval_addr(addr, &self.env.mem);
-                    if !self.route_store(cid, a, *shared, ops_ready) {
-                        if dispatched == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // ring backpressure
-                        }
-                        break;
-                    }
-                    self.step_functional(cid)?;
-                    self.cores[cid].rob.push_back(RobEntry {
-                        complete: ops_ready.saturating_add(1),
-                        class: Bucket::Memory,
-                    });
-                    dispatched += 1;
-                    if inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-                _ => {
-                    let ops_ready = self.cores[cid].operands_ready_for(inst).max(now);
-                    if ops_ready == u64::MAX {
-                        if dispatched == 0 {
-                            stall = Some(Bucket::Communication);
-                            wake = u64::MAX; // awaits an outstanding ring load
-                        }
-                        break;
-                    }
-                    let lat = inst_latency(inst) as u64;
-                    let dst = inst.def();
-                    self.step_functional(cid)?;
-                    let complete = ops_ready.saturating_add(lat);
-                    let core = &mut self.cores[cid];
-                    if let Some(d) = dst {
-                        core.reg_ready[d.index()] = complete;
-                        core.reg_class[d.index()] = Bucket::Computation;
-                    }
-                    core.rob.push_back(RobEntry {
-                        complete,
-                        class: Bucket::Computation,
-                    });
-                    dispatched += 1;
-                    if self.in_prologue(cid) || inst.is_added() {
-                        any_added = true;
-                    } else {
-                        any_original = true;
-                    }
-                }
-            }
-        }
-
-        let bucket = if dispatched > 0 {
-            if any_original {
-                Bucket::Computation
-            } else if any_added {
-                Bucket::AdditionalInsts
-            } else {
-                Bucket::WaitSignal
-            }
-        } else {
-            stall.unwrap_or(Bucket::Computation)
-        };
-        self.attr.charge(cid, bucket);
-        if dispatched > 0 || retired > 0 {
-            return Ok(CoreCycle::Progress);
-        }
-        if stall.is_none() {
-            wake = now + 1; // unexpected shape: stay conservative
-        }
-        // Retirement of the ROB head is always a wake source (it can
-        // unblock fences and the window) even when the recorded stall is
-        // something else.
-        Ok(CoreCycle::Stalled {
-            bucket,
-            wake: wake.min(rob_head_wake),
-        })
-    }
-
-    /// Shared wait/signal semantics used by the OoO model.
-    fn inorder_sync_step(
-        &mut self,
-        cid: usize,
-        inst: &Inst,
-        stall: &mut Option<Bucket>,
-        wake: &mut u64,
-        dispatched: u32,
-    ) -> Result<(), SimError> {
-        match inst {
-            Inst::Wait { seg } => {
-                if !self.cores[cid].granted.contains(seg) {
-                    let iter = match self.cores[cid].run {
-                        RunState::Iter { iter, .. } => iter,
-                        _ => 0,
-                    };
-                    if matches!(self.mode, Mode::Parallel(_)) {
-                        match self.check_wait(cid, *seg, iter) {
-                            Ok(()) => {
-                                self.cores[cid].granted.insert(*seg);
-                            }
-                            Err((block, observe_at)) => {
-                                if dispatched == 0 {
-                                    *stall = Some(match block {
-                                        WaitBlock::Dependence => Bucket::DependenceWaiting,
-                                        WaitBlock::Communication => Bucket::Communication,
-                                    });
-                                    *wake = observe_at;
-                                }
-                                return Ok(());
-                            }
-                        }
-                    } else {
-                        self.cores[cid].granted.insert(*seg);
-                    }
-                }
-                self.step_functional(cid)?;
-                self.cores[cid].rob.push_back(RobEntry {
-                    complete: self.now + 1,
-                    class: Bucket::WaitSignal,
-                });
-            }
-            Inst::Signal { seg } => {
-                let seg = *seg;
-                if !self.cores[cid].signaled.contains(&seg)
-                    && matches!(self.mode, Mode::Parallel(_))
-                {
-                    if self.cfg.decouple.synch {
-                        let ring = self.ring.as_mut().expect("ring");
-                        if !ring.signal(cid, seg) {
-                            if dispatched == 0 {
-                                *stall = Some(Bucket::Communication);
-                                *wake = u64::MAX; // drains at a ring event
-                            }
-                            return Ok(());
-                        }
-                    }
-                    self.sync.record_signal(seg, cid, self.now);
-                    // Wake exactly the sleepers dependence-blocked on
-                    // this core's signals.
-                    self.wake_bits |= self.dep_mask[cid];
-                    self.cores[cid].signaled.insert(seg);
-                }
-                self.step_functional(cid)?;
-                self.cores[cid].rob.push_back(RobEntry {
-                    complete: self.now + 1,
-                    class: Bucket::WaitSignal,
-                });
-            }
-            _ => unreachable!("sync step on non-sync instruction"),
-        }
-        Ok(())
-    }
-
-    /// Decoded mirror of [`Machine::tick_ooo`]: out-of-order dispatch
-    /// over the pre-decoded micro-op tables.
-    fn tick_ooo_dec(
+    fn tick_ooo(
         &mut self,
         cid: usize,
         width: u32,
@@ -2300,7 +1711,7 @@ impl<'p> Machine<'p> {
                     break;
                 }
                 let from = self.cores[cid].thread.block;
-                let event = self.step_functional_dec(cid, dec)?;
+                let event = self.step_functional(cid, dec)?;
                 dispatched += 1;
                 any_original = true;
                 self.cores[cid].rob.push_back(RobEntry {
@@ -2343,7 +1754,7 @@ impl<'p> Machine<'p> {
                         break;
                     }
                     let before = self.cores[cid].thread.dyn_insts;
-                    self.sync_step_dec(cid, dec, u.kind, &mut stall, &mut wake, dispatched)?;
+                    self.sync_step(cid, dec, u.kind, &mut stall, &mut wake, dispatched)?;
                     if self.cores[cid].thread.dyn_insts == before {
                         break; // blocked
                     }
@@ -2369,7 +1780,7 @@ impl<'p> Machine<'p> {
                         break;
                     };
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     let core = &mut self.cores[cid];
                     core.reg_ready[dst as usize] = done; // u64::MAX while pending
                     core.reg_class[dst as usize] = class;
@@ -2400,7 +1811,7 @@ impl<'p> Machine<'p> {
                         break;
                     }
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     self.cores[cid].rob.push_back(RobEntry {
                         complete: ops_ready.saturating_add(1),
                         class: Bucket::Memory,
@@ -2424,7 +1835,7 @@ impl<'p> Machine<'p> {
                     let lat = self.uop_lat[pc] as u64;
                     let dst = u.dst;
                     let is_added = u.is_added;
-                    self.step_functional_dec(cid, dec)?;
+                    self.step_functional(cid, dec)?;
                     let complete = ops_ready.saturating_add(lat);
                     let core = &mut self.cores[cid];
                     if dst != NO_REG {
@@ -2469,8 +1880,9 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Decoded mirror of [`Machine::inorder_sync_step`].
-    fn sync_step_dec(
+    /// Wait/signal issue for the out-of-order model: the in-order grant
+    /// and record rules, retiring through the ROB.
+    fn sync_step(
         &mut self,
         cid: usize,
         dec: &DecodedProgram,
@@ -2506,7 +1918,7 @@ impl<'p> Machine<'p> {
                         self.cores[cid].granted.insert(seg);
                     }
                 }
-                self.step_functional_dec(cid, dec)?;
+                self.step_functional(cid, dec)?;
                 self.cores[cid].rob.push_back(RobEntry {
                     complete: self.now + 1,
                     class: Bucket::WaitSignal,
@@ -2532,7 +1944,7 @@ impl<'p> Machine<'p> {
                     self.wake_bits |= self.dep_mask[cid];
                     self.cores[cid].signaled.insert(seg);
                 }
-                self.step_functional_dec(cid, dec)?;
+                self.step_functional(cid, dec)?;
                 self.cores[cid].rob.push_back(RobEntry {
                     complete: self.now + 1,
                     class: Bucket::WaitSignal,

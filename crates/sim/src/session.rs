@@ -7,8 +7,8 @@
 //! [`SimSession`] is built once per (program, plans) pair, decodes the
 //! program a single time (`Arc<DecodedProgram>` shared by every lane),
 //! and [`drain`](SimSession::drain)s all enqueued lanes one after
-//! another. Each lane is an ordinary [`Machine::with_decoded`] (or
-//! [`Machine::new`] for the tree engine) run once with
+//! another. Each lane, whatever its engine, is an ordinary
+//! [`Machine::with_decoded`] over that decode, run once with
 //! [`Machine::run`], so its result is exactly the standalone result —
 //! the property the lane-exactness regression tests pin across every
 //! committed scenario.
@@ -36,8 +36,8 @@ pub struct LaneResult {
 ///
 /// Build once, [`enqueue`](SimSession::enqueue) any number of lane
 /// configurations, then [`drain`](SimSession::drain). The program is
-/// decoded at most once per session, lazily — a session whose lanes all
-/// select the tree engine never decodes.
+/// decoded at most once per session, lazily at the first drained lane,
+/// and every lane shares that decode.
 #[derive(Debug)]
 pub struct SimSession<'p> {
     program: &'p Program,
@@ -103,12 +103,8 @@ impl<'p> SimSession<'p> {
             .into_iter()
             .enumerate()
             .map(|(lane, (cfg, fuel))| {
-                let mut machine = if cfg.engine.is_decoded() {
-                    let decoded = self.decoded();
-                    Machine::with_decoded(self.program, self.plans, cfg, decoded)
-                } else {
-                    Machine::new(self.program, self.plans, cfg)
-                };
+                let decoded = self.decoded();
+                let mut machine = Machine::with_decoded(self.program, self.plans, cfg, decoded);
                 LaneResult {
                     lane,
                     result: machine.run(fuel),
@@ -185,20 +181,18 @@ mod tests {
         assert_eq!(ok.mem_digest, alone.mem_digest);
     }
 
-    /// An all-Tree session never decodes; a mixed one decodes once.
+    /// A session decodes once, at its first drain, and every later lane
+    /// reuses that decode.
     #[test]
     fn decode_is_lazy_and_shared() {
         let program = axpy();
         let mut session = SimSession::new(&program, &[]);
-        session.enqueue(
-            MachineConfig::conventional(1).with_engine(EngineSel::Tree),
-            1 << 24,
-        );
-        let _ = session.drain();
-        assert!(session.decoded.is_none(), "tree-only batch must not decode");
+        assert!(session.decoded.is_none(), "no lane drained yet");
         session.enqueue(MachineConfig::conventional(1), 1 << 24);
         session.enqueue(MachineConfig::conventional(1), 1 << 24);
         let _ = session.drain();
-        assert!(session.decoded.is_some());
+        let first = session.decoded.clone().expect("decoded at drain");
+        let _ = session.drain();
+        assert!(Arc::ptr_eq(&first, &session.decoded()), "decoded once");
     }
 }

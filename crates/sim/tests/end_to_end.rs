@@ -3,9 +3,11 @@
 //! failure injection (corrupted plans must trip the race detector).
 
 use helix_hcc::{compile, HccConfig};
+use helix_ir::decode::{decode, UOpKind};
 use helix_ir::interp::{run_to_completion, Env};
 use helix_ir::{AddrExpr, BinOp, Intrinsic, Operand, Program, ProgramBuilder, Ty};
-use helix_sim::{simulate, simulate_sequential, MachineConfig, SyncModel};
+use helix_sim::{simulate, simulate_sequential, EngineSel, Machine, MachineConfig, SyncModel};
+use std::sync::Arc;
 
 const FUEL: u64 = 1 << 25;
 
@@ -342,4 +344,64 @@ fn deterministic_across_runs() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.mem_digest, b.mem_digest);
     assert_eq!(a.dyn_insts, b.dyn_insts);
+}
+
+/// `data[i] = i + 1`: every stored value is non-zero, so a store that
+/// lands one element off changes the final memory image.
+fn fill_program(n: i64) -> Program {
+    let mut b = ProgramBuilder::new("fill");
+    let data = b.region("data", (n as u64 + 1) * 8, Ty::I64);
+    b.counted_loop(0, n, 1, |b, i| {
+        let x = b.reg();
+        b.bin(x, BinOp::Add, i, 1i64);
+        b.store(x, AddrExpr::region_indexed(data, i, 8, 0), Ty::I64);
+    });
+    b.finish()
+}
+
+/// `EngineSel::Tree` steps the reference interpreter over the IR, not
+/// the decoded micro-ops: with every store's folded address moved one
+/// element in a shared decode, a tree machine still ends with the clean
+/// memory image and a decoded machine does not. Serial and parallel
+/// (HCCv3 on four cores) execution both go through the same step.
+#[test]
+fn tree_engine_steps_the_interpreter_not_the_decode() {
+    let program = fill_program(32);
+    let compiled = compile(&program, &HccConfig::v3(4)).unwrap();
+    assert!(!compiled.plans.is_empty());
+    let shapes = [
+        (&program, &[][..], MachineConfig::conventional(1)),
+        (
+            &compiled.program,
+            &compiled.plans[..],
+            MachineConfig::conventional(4),
+        ),
+    ];
+    for (program, plans, cfg) in shapes {
+        let clean = Machine::new(program, plans, cfg.clone()).run(FUEL).unwrap();
+        let mut corrupt = decode(program);
+        let mut stores = 0;
+        for u in &mut corrupt.uops {
+            if matches!(u.kind, UOpKind::Store { .. }) {
+                u.addr_const += 8;
+                stores += 1;
+            }
+        }
+        assert!(stores > 0, "the program stores");
+        let corrupt = Arc::new(corrupt);
+        let digest = |engine| {
+            let cfg = cfg.clone().with_engine(engine);
+            Machine::with_decoded(program, plans, cfg, corrupt.clone())
+                .run(FUEL)
+                .unwrap()
+                .mem_digest
+        };
+        assert_eq!(digest(EngineSel::Tree), clean.mem_digest, "{}", cfg.cores);
+        assert_ne!(
+            digest(EngineSel::Decoded),
+            clean.mem_digest,
+            "{}",
+            cfg.cores
+        );
+    }
 }

@@ -1,11 +1,13 @@
-//! The pre-decoded micro-op engine must be invisible: simulating with
-//! `MachineConfig::engine` set to `Decoded` (the default) or `Tree` has
-//! to produce bit-identical reports. These tests sweep every committed
-//! scenario spec at Test scale through both engines on the three
-//! machine shapes the benchmarks exercise (sequential, conventional,
-//! HELIX-RC) and compare every observable: cycle counts, the final
-//! memory digest, dynamic instruction counts, iteration bookkeeping,
-//! and the full attribution table.
+//! The decoded functional step must be invisible. Every engine runs the
+//! same issue loops over the decoded timing tables; `EngineSel::Decoded`
+//! (the default) steps the decoded micro-ops and `EngineSel::Tree` steps
+//! the reference interpreter over the IR, and the two have to produce
+//! bit-identical reports. These tests sweep every committed scenario
+//! spec at Test scale through both steps on four machine shapes
+//! (sequential, HCCv3 on the conventional and HELIX-RC machines, and
+//! out-of-order HELIX-RC) and compare every observable: cycle counts,
+//! the final memory digest, dynamic instruction counts, iteration
+//! bookkeeping, and the full attribution table.
 //!
 //! Every report is also pinned to `tests/golden/engine_timing.txt`: one
 //! line per (shape, scenario) with the cycle count, dynamic instruction
@@ -198,8 +200,8 @@ fn engines_agree_without_fast_forward() {
     }
 }
 
-/// Out-of-order cores run the decoded engine's separate dispatch loop;
-/// pin it against the tree engine too.
+/// Out-of-order cores run their own dispatch loop; pin it on every
+/// committed scenario too.
 #[test]
 fn engines_agree_out_of_order() {
     let mut cfg = MachineConfig::helix_rc(4);
