@@ -192,6 +192,7 @@ mod tests {
         session.enqueue(MachineConfig::conventional(1), 1 << 24);
         let _ = session.drain();
         let first = session.decoded.clone().expect("decoded at drain");
+        session.enqueue(MachineConfig::conventional(1), 1 << 24);
         let _ = session.drain();
         assert!(Arc::ptr_eq(&first, &session.decoded()), "decoded once");
     }
