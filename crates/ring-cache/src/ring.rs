@@ -21,9 +21,13 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MainMsg {
     /// `(address, origin node)`.
-    Data { addr: u64, origin: u8 },
+    Data { addr: u64, origin: u16 },
     /// `(segment, source core, origin node)`.
-    Signal { seg: SegmentId, src: u8, origin: u8 },
+    Signal {
+        seg: SegmentId,
+        src: u16,
+        origin: u16,
+    },
 }
 
 impl MainMsg {
@@ -39,8 +43,8 @@ impl MainMsg {
 struct ReqMsg {
     ticket: u64,
     addr: u64,
-    requester: u8,
-    owner: u8,
+    requester: u16,
+    owner: u16,
 }
 
 /// Service-lane reply, routed back to `requester`.
@@ -48,7 +52,7 @@ struct ReqMsg {
 struct RepMsg {
     ticket: u64,
     addr: u64,
-    requester: u8,
+    requester: u16,
 }
 
 /// Result of issuing a load to the ring cache.
@@ -109,7 +113,7 @@ impl Node {
         }
     }
 
-    fn count_signal(&mut self, seg: SegmentId, src: u8) {
+    fn count_signal(&mut self, seg: SegmentId, src: u16) {
         let idx = seg.index() * self.nodes + src as usize;
         if idx >= self.signal_counts.len() {
             self.signal_counts.resize(idx + 1, 0);
@@ -226,7 +230,7 @@ impl RingCache {
         self.nodes[node].inject.push_back((
             MainMsg::Data {
                 addr,
-                origin: node as u8,
+                origin: node as u16,
             },
             ready,
         ));
@@ -249,8 +253,8 @@ impl RingCache {
         self.nodes[node].inject.push_back((
             MainMsg::Signal {
                 seg,
-                src: node as u8,
-                origin: node as u8,
+                src: node as u16,
+                origin: node as u16,
             },
             ready,
         ));
@@ -287,8 +291,8 @@ impl RingCache {
             let req = ReqMsg {
                 ticket,
                 addr,
-                requester: node as u8,
-                owner: owner as u8,
+                requester: node as u16,
+                owner: owner as u16,
             };
             let ready = self.now + self.cfg.injection_latency as u64 + self.cfg.hop_latency as u64;
             self.note_event(ready);

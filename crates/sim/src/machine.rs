@@ -280,14 +280,24 @@ pub struct Machine<'p> {
     /// Sleep cycles are charged in one batch at wake ("settled"), not
     /// one `charge` call per cycle — same totals, no per-cycle work.
     sleep_from: Vec<u64>,
-    /// Number of cores currently sleeping, recomputed after every
-    /// executed core loop. When every core sleeps, no wake hint is
-    /// pending, and no deadline is due, the whole per-core loop is
-    /// provably a no-op and is skipped.
-    sleeping_count: usize,
-    /// Earliest sleep deadline among sleeping cores (recomputed with
-    /// `sleeping_count`).
+    /// Sleeping cores as a bitset (bit `cid % 64` of word `cid / 64`):
+    /// exactly the cores with `sleep_from[cid] != u64::MAX`. The cycle
+    /// loop visits the cores outside it, and of the sleepers only those
+    /// that are hinted or due, so a sleeper costs nothing per cycle.
+    sleeping: Vec<u64>,
+    /// The sleepers with a finite deadline (`asleep_until[cid] !=
+    /// u64::MAX`), laid out like `sleeping`: the only cores the deadline
+    /// recompute and the due scan read.
+    timed: Vec<u64>,
+    /// Earliest `asleep_until` among sleeping cores (`u64::MAX` when
+    /// none). Lowered when a core falls asleep. A core with a finite
+    /// deadline sleeps without a guard, so only its deadline wakes it:
+    /// the value is recomputed only on the cycle it falls due, by the
+    /// same scan over `timed` that finds the due cores.
     next_deadline: u64,
+    /// Sleepers whose deadline has arrived, laid out like `sleeping`.
+    /// Filled at cycle start, only when `next_deadline <= now`.
+    due: Vec<u64>,
     /// Per-core conditional sleep for event-driven (`u64::MAX`-wake)
     /// stalls: while the guard holds, the stall repeats verbatim.
     /// `None` = no guard armed.
@@ -300,10 +310,10 @@ pub struct Machine<'p> {
     /// could break core `cid`'s stall guard occurred — a ring delivery
     /// or drain at its node, a signal execution by its guarded blocking
     /// source, or lap-bound movement. A sleeping core with a clear bit
-    /// skips even the guard re-validation; a set bit is consumed by one
-    /// validation (when more than 64 cores share bits, hints are never
-    /// consumed and every sleeper validates each cycle, which is merely
-    /// slower).
+    /// is not visited at all; a set bit is consumed by one validation
+    /// (above 64 cores every word of the sleep set shares these bits, so
+    /// hints are never consumed and a hinted sleeper validates each
+    /// cycle, which is merely slower).
     wake_bits: u64,
     /// Dependence-wake routing: `dep_mask[src]` is the set of sleeping
     /// cores whose `Wait` guard is classified `Dependence` on source
@@ -354,6 +364,20 @@ const NO_CUT: InstSite = InstSite {
 /// Extra cycles a coherence-mediated wait pays to observe a flag after
 /// the transfer completes (spin-loop detection).
 const SPIN_OVERHEAD: u64 = 2;
+
+/// The set bits of a bitset given as `u64` words (bit `i % 64` of word
+/// `i / 64`), as ascending indices.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
 
 impl<'p> Machine<'p> {
     /// Build a machine over a (possibly transformed) program and its
@@ -436,8 +460,10 @@ impl<'p> Machine<'p> {
             asleep_until: vec![0; cfg.cores],
             sleep_bucket: vec![Bucket::SerialIdle; cfg.cores],
             sleep_from: vec![u64::MAX; cfg.cores],
-            sleeping_count: 0,
+            sleeping: vec![0; cfg.cores.div_ceil(64)],
+            timed: vec![0; cfg.cores.div_ceil(64)],
             next_deadline: u64::MAX,
+            due: vec![0; cfg.cores.div_ceil(64)],
             stall_guard: vec![None; cfg.cores],
             armed_guard: None,
             wake_bits: u64::MAX,
@@ -513,13 +539,12 @@ impl<'p> Machine<'p> {
                 let target = wake.min(fuel);
                 if target > self.now {
                     let skip = target - self.now;
-                    for cid in 0..self.cfg.cores {
-                        // Bulk sleepers accumulate the skipped window
-                        // through `sleep_from` and settle at wake;
-                        // charging them here would double-count.
-                        if self.sleep_from[cid] == u64::MAX {
-                            self.attr.charge_n(cid, self.stall_buckets[cid], skip);
-                        }
+                    // Only awake cores: bulk sleepers accumulate the
+                    // skipped window through `sleep_from` and settle at
+                    // wake; charging them here would double-count.
+                    let awake = set_bits(self.sleeping.iter().map(|w| !w));
+                    for cid in awake.take_while(|&cid| cid < self.cfg.cores) {
+                        self.attr.charge_n(cid, self.stall_buckets[cid], skip);
                     }
                     // Advance the ring by the same number of cycles the
                     // naive loop would have ticked it. The ring clock can
@@ -591,29 +616,34 @@ impl<'p> Machine<'p> {
         }
         let mut all_stalled = true;
         let mut min_wake = u64::MAX;
-        // With every core sleeping, no wake hint pending, and no
-        // deadline due, the per-core loop is a no-op: each core would
-        // hit its clear wake bit and continue. Skip it outright.
-        let skip_loop = self.sleeping_count == self.cfg.cores
-            && self.wake_bits == 0
-            && self.now < self.next_deadline;
-        if skip_loop {
-            min_wake = self.next_deadline;
-        }
-        for cid in 0..if skip_loop { 0 } else { self.cfg.cores } {
-            if self.sleep_from[cid] != u64::MAX {
-                // Mid-sleep: the stall repeats verbatim while the
-                // deadline is ahead and the guard (if any) holds. With
-                // no wake hint pending, the guard provably holds and
-                // even the re-validation is skipped. The accumulated
-                // cycles are charged in one batch at wake.
+        let any_due = self.next_deadline <= self.now;
+        if any_due {
+            // Every due core wakes in the loop below: mark them, and take
+            // the next deadline from the timed sleepers that stay asleep.
+            self.due.fill(0);
+            let mut rest = u64::MAX;
+            for cid in set_bits(self.timed.iter().copied()) {
                 let until = self.asleep_until[cid];
-                let bit = 1u64 << (cid as u64 & 63);
-                if self.now < until {
-                    if self.wake_bits & bit == 0 {
-                        min_wake = min_wake.min(until);
-                        continue;
-                    }
+                if until <= self.now {
+                    self.due[cid / 64] |= 1 << (cid % 64);
+                } else {
+                    rest = rest.min(until);
+                }
+            }
+            self.next_deadline = rest;
+        }
+        // Visit, in ascending `cid`, only the cores that can act: awake,
+        // hinted, or due. Sleepers outside that set repeat their stall
+        // verbatim and are charged in one batch at wake. The candidate
+        // set is recomputed after every visit, so a hint that a visit
+        // sets is seen by the later cores of the same cycle.
+        let mut from = 0;
+        while let Some(cid) = self.next_candidate(from, any_due) {
+            from = cid + 1;
+            if self.sleep_from[cid] != u64::MAX {
+                // Hinted mid-sleep: the stall repeats verbatim while the
+                // deadline is ahead and the guard (if any) holds.
+                if self.now < self.asleep_until[cid] {
                     let intact = match self.stall_guard[cid] {
                         Some(guard) => self.guard_intact(cid, guard),
                         None => true,
@@ -622,19 +652,13 @@ impl<'p> Machine<'p> {
                         // Consume the hint (only exclusive owners may;
                         // shared bits just re-validate every cycle).
                         if self.cfg.cores <= 64 {
-                            self.wake_bits &= !bit;
+                            self.wake_bits &= !(1 << cid);
                         }
-                        min_wake = min_wake.min(until);
                         continue;
                     }
                 }
-                let elapsed = self.now - self.sleep_from[cid];
-                if elapsed > 0 {
-                    self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
-                }
-                self.sleep_from[cid] = u64::MAX;
+                self.wake_core(cid);
                 self.stall_guard[cid] = None;
-                self.clear_wake_routing(cid);
             }
             let cycle = self.tick_core(cid)?;
             let armed = self.armed_guard.take();
@@ -648,9 +672,8 @@ impl<'p> Machine<'p> {
                     min_wake = min_wake.min(wake);
                     if self.cfg.fast_forward && wake != u64::MAX {
                         // Deterministic wake: sleep through the stall.
-                        self.asleep_until[cid] = wake;
                         self.sleep_bucket[cid] = bucket;
-                        self.sleep_from[cid] = self.now + 1;
+                        self.fall_asleep(cid, wake);
                         self.stall_guard[cid] = None;
                     } else if self.cfg.fast_forward && self.stall_guard[cid].is_none() {
                         // Event-driven wake: sleep until the stall's
@@ -672,14 +695,17 @@ impl<'p> Machine<'p> {
                                     .any(|&(ticket, _)| r.load_ready(ticket).is_some())
                             });
                         if !serviced_pending {
-                            self.asleep_until[cid] = u64::MAX;
-                            self.sleep_from[cid] = self.now + 1;
+                            self.fall_asleep(cid, u64::MAX);
                             self.register_wake_routing(cid);
                         }
                     }
                 }
             }
         }
+        // Every core still asleep stays so until its deadline at the
+        // earliest (the cores that fell asleep this cycle included: their
+        // deadline is the wake their stall reported).
+        min_wake = min_wake.min(self.next_deadline);
         self.now += 1;
         let mut transition = false;
         if let Some(plan) = self.pending_enter.take() {
@@ -690,20 +716,11 @@ impl<'p> Machine<'p> {
             self.exit_parallel();
             transition = true;
         }
-        if !skip_loop || transition {
-            // Refresh the loop-skip inputs (sleeps may have been armed,
-            // woken, or settled this cycle).
-            let mut count = 0;
-            let mut deadline = u64::MAX;
-            for cid in 0..self.cfg.cores {
-                if self.sleep_from[cid] != u64::MAX {
-                    count += 1;
-                    deadline = deadline.min(self.asleep_until[cid]);
-                }
-            }
-            self.sleeping_count = count;
-            self.next_deadline = deadline;
-        }
+        debug_assert!(
+            self.sleep_state_consistent(),
+            "sleep bitsets or deadline out of step with sleep_from at cycle {}",
+            self.now
+        );
         if !self.cfg.fast_forward || !all_stalled || transition {
             return Ok(None);
         }
@@ -1198,19 +1215,79 @@ impl<'p> Machine<'p> {
     /// transitions and at run end — the points where sleeps end for
     /// reasons other than their own wake conditions.
     fn settle_sleeps(&mut self) {
-        for cid in 0..self.cfg.cores {
-            let sf = self.sleep_from[cid];
-            if sf != u64::MAX {
-                let elapsed = self.now - sf;
-                if elapsed > 0 {
-                    self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
-                }
-                self.sleep_from[cid] = u64::MAX;
-                self.clear_wake_routing(cid);
+        for w in 0..self.sleeping.len() {
+            while self.sleeping[w] != 0 {
+                self.wake_core(w * 64 + self.sleeping[w].trailing_zeros() as usize);
             }
         }
-        self.sleeping_count = 0;
         self.next_deadline = u64::MAX;
+    }
+
+    /// Put core `cid` to sleep from the next cycle until `until`
+    /// (`u64::MAX`: until its stall guard breaks).
+    fn fall_asleep(&mut self, cid: usize, until: u64) {
+        self.asleep_until[cid] = until;
+        self.sleep_from[cid] = self.now + 1;
+        let (w, bit) = (cid / 64, 1u64 << (cid % 64));
+        self.sleeping[w] |= bit;
+        if until != u64::MAX {
+            self.timed[w] |= bit;
+            self.next_deadline = self.next_deadline.min(until);
+        }
+    }
+
+    /// Wake sleeping core `cid`: charge its window `[sleep_from, now)`,
+    /// leave its wake routing and drop it from the bitsets. Inside the
+    /// core loop a timed core wakes only when due, and the due scan
+    /// already left it out of `next_deadline`.
+    fn wake_core(&mut self, cid: usize) {
+        let elapsed = self.now - self.sleep_from[cid];
+        if elapsed > 0 {
+            self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
+        }
+        self.sleep_from[cid] = u64::MAX;
+        self.clear_wake_routing(cid);
+        let (w, bit) = (cid / 64, 1u64 << (cid % 64));
+        self.sleeping[w] &= !bit;
+        self.timed[w] &= !bit;
+    }
+
+    /// The first core at or after `from` that this cycle's loop must
+    /// visit: awake, hinted (bit `cid % 64` of `wake_bits`, which every
+    /// word shares above 64 cores), or — when `any_due` — due.
+    fn next_candidate(&self, from: usize, any_due: bool) -> Option<usize> {
+        let mut w = from / 64;
+        let mut mask = u64::MAX << (from % 64);
+        while let Some(&asleep) = self.sleeping.get(w) {
+            let mut word = !asleep | self.wake_bits;
+            if any_due {
+                word |= self.due[w];
+            }
+            word &= mask;
+            if word != 0 {
+                let cid = w * 64 + word.trailing_zeros() as usize;
+                return (cid < self.cfg.cores).then_some(cid);
+            }
+            w += 1;
+            mask = u64::MAX;
+        }
+        None
+    }
+
+    /// Whether the sleep bitsets hold exactly the sleeping cores (and
+    /// the timed ones), and `next_deadline` is their earliest deadline.
+    fn sleep_state_consistent(&self) -> bool {
+        let mut deadline = u64::MAX;
+        let sets_agree = (0..self.sleeping.len() * 64).all(|cid| {
+            let (w, bit) = (cid / 64, 1u64 << (cid % 64));
+            let asleep = cid < self.cfg.cores && self.sleep_from[cid] != u64::MAX;
+            let timed = asleep && self.asleep_until[cid] != u64::MAX;
+            if asleep {
+                deadline = deadline.min(self.asleep_until[cid]);
+            }
+            (self.sleeping[w] & bit != 0) == asleep && (self.timed[w] & bit != 0) == timed
+        });
+        sets_agree && deadline == self.next_deadline
     }
 
     /// Charge one cycle of a pure-idle run state. These states change

@@ -87,6 +87,35 @@ fn fast_forward_is_cycle_exact_sequential() {
     }
 }
 
+/// The smallest workload by static instruction count.
+fn smallest() -> Workload {
+    smallest_three().swap_remove(0)
+}
+
+/// More than 64 cores: the sleep set spans several words and cores share
+/// wake-hint bits (bit `cid % 64`), so a hint is never consumed.
+#[test]
+fn fast_forward_is_cycle_exact_sequential_above_64_cores() {
+    let w = smallest();
+    let cfg = MachineConfig::conventional(96);
+    let fast = simulate_sequential(&w.program, &cfg, FUEL).expect(&w.name);
+    let naive =
+        simulate_sequential(&w.program, &cfg.clone().without_fast_forward(), FUEL).expect(&w.name);
+    assert_reports_identical(&fast, &naive, &w.name);
+}
+
+/// HCCv3 code on a 128-core HELIX-RC machine: two sleep-set words, and
+/// ring wake hints that alias across them.
+#[test]
+fn fast_forward_is_cycle_exact_on_helix_machine_above_64_cores() {
+    let w = smallest();
+    let compiled = compile(&w.program, &HccConfig::v3(128)).expect(&w.name);
+    let cfg = MachineConfig::helix_rc(128);
+    let fast = simulate(&compiled, &cfg, FUEL).expect(&w.name);
+    let naive = simulate(&compiled, &cfg.clone().without_fast_forward(), FUEL).expect(&w.name);
+    assert_reports_identical(&fast, &naive, &w.name);
+}
+
 /// Scenario nest with a loop-carried value resolved at the exit
 /// barrier. Reduction combining there charges machine cycles the ring
 /// clock never sees, so the ring permanently lags the core clock; the

@@ -122,3 +122,18 @@ fn simulation_is_deterministic() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.mem_digest, b.mem_digest);
 }
+
+/// A ring wider than 256 nodes delivers every message to the right node:
+/// node ids in ring messages once wrapped at 256, so signals reached the
+/// wrong core and HCCv3 gzip on 512 cores waited forever.
+#[test]
+fn helix_machine_above_256_cores_matches_the_interpreter() {
+    let w = helix_rc::workloads::by_name("164.gzip", Scale::Test).unwrap();
+    let compiled = compile(&w.program, &HccConfig::v3(512)).unwrap();
+    let mut env = Env::for_program(&compiled.program);
+    run_to_completion(&compiled.program, &mut env).unwrap();
+    let rep = simulate(&compiled, &MachineConfig::helix_rc(512), FUEL).unwrap();
+    assert_eq!(rep.race_violations, vec![]);
+    assert_eq!(rep.protocol_errors, Vec::<String>::new());
+    assert_eq!(rep.mem_digest, env.mem.digest(), "wrong parallel result");
+}
