@@ -134,6 +134,7 @@ OPTIONS:
     --chaos-blowouts N Cells that run with a tiny cycle budget (default 0)
     --chaos-stall-ms N Stall duration in milliseconds (default 50)
     --chaos-transient  Inject each fault only on a cell's first attempt
+    -h, --help         Print this text and exit 0 (after any command too)
 
 EXIT CODES:
     0  success        2  usage error       1  hard failure
@@ -887,6 +888,10 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::from(2);
     };
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let opts = match parse_options(rest) {
         Ok(opts) => opts,
         Err(e) => return fail_usage(e),

@@ -7,13 +7,14 @@
 //! count it covers.
 
 use helix_ir::cfg::LoopForest;
+use helix_ir::decode::decode;
 use helix_ir::interp::{Env, InterpError, StepEvent, Thread};
 use helix_ir::trace::NullSink;
 use helix_ir::{BlockId, Program};
 use serde::{Deserialize, Serialize};
 
 /// Dynamic statistics for one loop (indexed as in the [`LoopForest`]).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoopProfile {
     /// Times the loop was entered.
     pub invocations: u64,
@@ -45,7 +46,7 @@ impl LoopProfile {
 }
 
 /// Whole-program profile over a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgramProfile {
     /// Per-loop statistics, indexed like `LoopForest::loops`.
     pub loops: Vec<LoopProfile>,
@@ -66,6 +67,12 @@ impl ProgramProfile {
 
 /// Run `program` to completion on `env` and profile every loop in
 /// `forest`.
+///
+/// The run steps the decoded micro-ops
+/// ([`helix_ir::decode::DecodedProgram::step`], the exact mirror of the
+/// tree interpreter's `Thread::step`), counts instructions per block,
+/// and folds the block counts into the loops that contain them once at
+/// the end.
 ///
 /// # Errors
 ///
@@ -95,21 +102,21 @@ pub fn profile(
         total_insts: 0,
     };
 
+    let decoded = decode(program);
     let mut thread = Thread::at_entry(program);
     let mut sink = NullSink;
     let mut steps = 0u64;
-    let in_loop = |li: usize, b: BlockId| forest.loops[li].lp.blocks.contains(&b);
+    // Steps taken in each block, terminators included.
+    let mut block_insts = vec![0u64; n_blocks];
+    let in_loop = |li: usize, b: BlockId| chains[b.index()].contains(&li);
     while !thread.finished {
         if steps >= max_steps {
             return Err(InterpError::FuelExhausted);
         }
         steps += 1;
         let before_block = thread.block;
-        let event = thread.step(program, env, &mut sink)?;
-        out.total_insts += 1;
-        for &li in &chains[before_block.index()] {
-            out.loops[li].dyn_insts += 1;
-        }
+        let event = decoded.step(&mut thread, env, &mut sink)?;
+        block_insts[before_block.index()] += 1;
         if let StepEvent::Flow { from, to } = event {
             // Loop invocations: flow onto a header from outside the loop.
             if let Some(li) = header_of[to.index()] {
@@ -123,6 +130,12 @@ pub fn profile(
                     out.loops[li].iterations += 1;
                 }
             }
+        }
+    }
+    out.total_insts = steps;
+    for (chain, &n) in chains.iter().zip(&block_insts) {
+        for &li in chain {
+            out.loops[li].dyn_insts += n;
         }
     }
     Ok(out)

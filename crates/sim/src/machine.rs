@@ -335,9 +335,10 @@ pub struct Machine<'p> {
     /// Reused memory-access capture buffer for functional steps.
     sink: CapSink,
     /// Pre-decoded micro-op tables: every engine's issue loops read
-    /// their timing metadata here. Shared behind an `Arc` so the issue
-    /// loops can hold it while mutating the machine and so lane
-    /// sessions can share one decode across machines.
+    /// their timing metadata here. Shared behind an `Arc` so lane
+    /// sessions and batch threads can share one decode across machines;
+    /// [`Machine::run`] clones it once and lends the issue loops a plain
+    /// borrow, so no core visit touches the refcount.
     decoded: Arc<DecodedProgram>,
     /// Per-micro-op execution latency, indexed like the decoded table
     /// (computed once from [`inst_latency`]).
@@ -527,11 +528,14 @@ impl<'p> Machine<'p> {
     ///
     /// Fails on functional faults or fuel exhaustion.
     pub fn run(&mut self, fuel: u64) -> Result<RunReport, SimError> {
+        // One refcount per run: every core visit borrows the tables.
+        let decoded = Arc::clone(&self.decoded);
+        let dec: &DecodedProgram = &decoded;
         while !self.finished() {
             if self.now >= fuel {
                 return Err(SimError::FuelExhausted { cycles: self.now });
             }
-            let wake = self.tick_cycle()?;
+            let wake = self.tick_cycle(dec)?;
             if let Some(wake) = wake {
                 // Every core is stalled until `wake` at the earliest and
                 // the ring has no event before then: jump there (bounded
@@ -589,7 +593,7 @@ impl<'p> Machine<'p> {
     /// globally idle — every core stalled, no mode transition — and the
     /// next cycle at which anything can change is `wake`; the caller may
     /// then skip the clock straight there.
-    fn tick_cycle(&mut self) -> Result<Option<u64>, SimError> {
+    fn tick_cycle(&mut self, dec: &DecodedProgram) -> Result<Option<u64>, SimError> {
         if let Some(ring) = &mut self.ring {
             ring.tick();
             self.wake_bits |= ring.take_wake_mask();
@@ -660,7 +664,7 @@ impl<'p> Machine<'p> {
                 self.wake_core(cid);
                 self.stall_guard[cid] = None;
             }
-            let cycle = self.tick_core(cid)?;
+            let cycle = self.tick_core(cid, dec)?;
             let armed = self.armed_guard.take();
             match cycle {
                 CoreCycle::Progress => {
@@ -1305,7 +1309,7 @@ impl<'p> Machine<'p> {
 
     /// One cycle of core `cid`. Reports whether the core made progress
     /// or is provably stalled (and until when), for the fast-forward.
-    fn tick_core(&mut self, cid: usize) -> Result<CoreCycle, SimError> {
+    fn tick_core(&mut self, cid: usize, dec: &DecodedProgram) -> Result<CoreCycle, SimError> {
         // Resolve completed ring loads (allocation-free: retire in
         // place, in ticket order, exactly as the two-pass version did).
         let mut resolved_any = false;
@@ -1376,10 +1380,9 @@ impl<'p> Machine<'p> {
             return Ok(CoreCycle::Progress); // state changed this cycle
         }
 
-        let dec = self.decoded.clone();
         let cycle = match self.cfg.core {
-            CoreModel::InOrder { width } => self.tick_inorder(cid, width, &dec)?,
-            CoreModel::OutOfOrder { width, rob } => self.tick_ooo(cid, width, rob, &dec)?,
+            CoreModel::InOrder { width } => self.tick_inorder(cid, width, dec)?,
+            CoreModel::OutOfOrder { width, rob } => self.tick_ooo(cid, width, rob, dec)?,
         };
         if resolved_any || lap_started {
             return Ok(CoreCycle::Progress);

@@ -147,12 +147,18 @@ impl TimingCache {
     }
 }
 
-/// Coherence directory entry.
+/// Coherence directory entry (16 bytes).
+///
+/// The sharer mask holds one bit per core modulo 64, so above 64 cores
+/// cores `c` and `c + 64` share a bit: an upgrade may skip or add an
+/// invalidation. That changes timing only, since values live in the
+/// functional memory. The owner is exact at any core count a scenario
+/// may ask for (at most 4096).
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
     sharers: u64,
     /// Core holding the line modified, if any.
-    dirty: Option<u8>,
+    dirty: Option<u16>,
 }
 
 impl DirEntry {
@@ -326,12 +332,12 @@ impl MemSystem {
                     self.invalidate_others(line, core, entry);
                     let e = self.dir.entry_or_default(line);
                     e.sharers = me;
-                    e.dirty = Some(core as u8);
+                    e.dirty = Some(core as u16);
                     return now + self.l1_lat as u64 + self.c2c as u64;
                 }
                 let e = self.dir.entry_or_default(line);
                 e.sharers |= me;
-                e.dirty = Some(core as u8);
+                e.dirty = Some(core as u16);
             }
             return now + self.l1_lat as u64;
         }
@@ -348,7 +354,7 @@ impl MemSystem {
                 self.invalidate_others(line, core, entry);
                 let e = self.dir.entry_or_default(line);
                 e.sharers = me;
-                e.dirty = Some(core as u8);
+                e.dirty = Some(core as u16);
             } else {
                 let e = self.dir.entry_or_default(line);
                 e.sharers |= me;
@@ -370,7 +376,7 @@ impl MemSystem {
             };
             let e = self.dir.entry_or_default(line);
             e.sharers |= me;
-            e.dirty = if is_store { Some(core as u8) } else { None };
+            e.dirty = if is_store { Some(core as u16) } else { None };
             done
         };
 
@@ -380,7 +386,7 @@ impl MemSystem {
         if let Some(victim) = self.l1[core].insert(addr) {
             if let Some(e) = self.dir.get_mut(victim) {
                 e.sharers &= !me;
-                if e.dirty == Some(core as u8) {
+                if e.dirty == Some(core as u16) {
                     e.dirty = None; // write-back to L2 absorbed
                     l2_writeback = Some(victim * self.l1_line);
                 }
@@ -618,6 +624,35 @@ mod tests {
             m.access(core, 0x9000, true, now);
         }
         assert_eq!(m.stats.c2c_transfers, before + 6);
+    }
+
+    #[test]
+    fn dir_entry_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 16);
+    }
+
+    /// Above 256 cores the owner must not alias: core 0 evicting its
+    /// clean copy leaves core 256's ownership of the line in place.
+    #[test]
+    fn owner_above_256_cores_survives_another_cores_eviction() {
+        let cfg = MachineConfig::conventional(512);
+        let mut m = MemSystem::new(&cfg);
+        let addr = 0x4000;
+        let line = m.l1[0].line_of(addr);
+        m.access(0, addr, false, 0);
+        m.access(256, addr, true, 1000);
+        assert_eq!(m.dir.get(line).expect("present").dirty, Some(256));
+        // Evict core 0's copy by filling its set (64 sets of 8 ways:
+        // same-set stride 4096 bytes).
+        for k in 1..=8u64 {
+            m.access(0, addr + k * 4096, false, 1000 * (k + 1));
+        }
+        assert!(!m.l1[0].probe(addr), "core 0's copy was evicted");
+        assert_eq!(
+            m.dir.get(line).expect("present").dirty,
+            Some(256),
+            "core 256 still owns the line"
+        );
     }
 
     #[test]

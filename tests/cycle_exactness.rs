@@ -152,3 +152,18 @@ fn fast_forward_is_cycle_exact_out_of_order() {
         assert_reports_identical(&fast, &naive, &w.name);
     }
 }
+
+/// The out-of-order core on the conventional machine: HCCv3 waits
+/// observe signals through coherence, so the wait path's observation
+/// deadlines meet the ROB-retirement wakes.
+#[test]
+fn fast_forward_is_cycle_exact_out_of_order_on_conventional_machine() {
+    for w in smallest_three() {
+        let compiled = compile(&w.program, &HccConfig::v3(4)).expect(&w.name);
+        let mut cfg = MachineConfig::conventional(4);
+        cfg.core = helix_rc::sim::CoreModel::OutOfOrder { width: 2, rob: 48 };
+        let fast = simulate(&compiled, &cfg, FUEL).expect(&w.name);
+        let naive = simulate(&compiled, &cfg.clone().without_fast_forward(), FUEL).expect(&w.name);
+        assert_reports_identical(&fast, &naive, &w.name);
+    }
+}
