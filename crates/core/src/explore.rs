@@ -43,8 +43,8 @@ use crate::experiment::comm_frac;
 use crate::json::Json;
 use crate::resilient::{fnv1a, FNV_OFFSET};
 use crate::scenario::{nest_rows, nest_weights, NestRow};
-use helix_hcc::{compile, HccConfig};
-use helix_ir::InstSite;
+use helix_hcc::{compile, CompiledProgram, HccConfig};
+use helix_ir::{InstSite, Program};
 use helix_sim::{
     simulate, Bucket, EngineSel, Machine, MachineConfig, RunReport, SimError, SimSession,
 };
@@ -436,70 +436,133 @@ pub struct SpecExam {
     pub checks: usize,
 }
 
-/// Run the full oracle battery over one spec at smoke scale.
+/// What every examination starts from: the spec generated at Test
+/// scale, its sequential run with the nest cuts marked, its HCCv3
+/// compile, and that compile's HELIX-RC run.
+struct Baseline {
+    program: Program,
+    nests: Vec<NestBoundary>,
+    seq: RunReport,
+    compiled: CompiledProgram,
+    helix_cfg: MachineConfig,
+    helix: RunReport,
+    cores: usize,
+    fuel: u64,
+}
+
+impl Baseline {
+    /// Run the baseline stages in order; the first that fails ends the
+    /// examination with its detail (a sanity failure).
+    fn run(spec: &ScenarioSpec, opts: &ExploreOptions) -> Result<Baseline, String> {
+        let cores = opts.cores.max(1);
+        let fuel = opts.fuel;
+        let (program, nests) =
+            generate_with_nests(spec, Scale::Test).map_err(|e| format!("generate: {e}"))?;
+        let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
+        let seq = Machine::new(&program, &[], MachineConfig::conventional(cores))
+            .with_cuts(&cuts)
+            .run(fuel)
+            .map_err(|e| format!("sequential run: {e:?}"))?;
+        let compiled = compile(&program, &HccConfig::v3(cores as u32))
+            .map_err(|e| format!("HCCv3 compile: {e:?}"))?;
+        let helix_cfg = MachineConfig::helix_rc(cores);
+        let helix =
+            simulate(&compiled, &helix_cfg, fuel).map_err(|e| format!("helix-rc run: {e:?}"))?;
+        Ok(Baseline {
+            program,
+            nests,
+            seq,
+            compiled,
+            helix_cfg,
+            helix,
+            cores,
+            fuel,
+        })
+    }
+
+    /// Speedup of a parallel run over the sequential baseline.
+    fn speedup(&self, parallel: &RunReport) -> f64 {
+        self.seq.cycles as f64 / parallel.cycles.max(1) as f64
+    }
+
+    /// Frontier metrics. With `generations`, HCCv1 and HCCv2 are also
+    /// compiled and run on the same machine, which isolates the compiler
+    /// axis; only [`Metrics::inverted`] reads them. A generation that
+    /// fails to compile or run is a frontier gap, not an oracle failure.
+    fn metrics(&self, generations: bool) -> Metrics {
+        let speedup = self.speedup(&self.helix);
+        let coverage = self.compiled.stats.coverage;
+        let run = |cfg: HccConfig| {
+            let compiled = compile(&self.program, &cfg).ok()?;
+            let report = simulate(&compiled, &self.helix_cfg, self.fuel).ok()?;
+            Some(self.speedup(&report))
+        };
+        let cores = self.cores as u32;
+        let generations = generations
+            .then(|| Some((run(HccConfig::v1(cores))?, run(HccConfig::v2(cores))?)))
+            .flatten();
+        Metrics {
+            speedup,
+            coverage,
+            bound_frac: speedup / amdahl_bound(coverage, self.cores),
+            comm_frac: comm_frac(&self.helix),
+            generations,
+        }
+    }
+}
+
+/// Run the full oracle battery over one spec at smoke scale: the
+/// baseline that [`measure_metrics`] also runs, every oracle over it,
+/// and the same frontier metrics.
 pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
     let mut exam = SpecExam {
         failures: Vec::new(),
         metrics: None,
-        checks: 0,
+        // The baseline is the first check.
+        checks: 1,
     };
-    let cores = opts.cores.max(1);
-    let fuel = opts.fuel;
+    match Baseline::run(spec, opts) {
+        Ok(base) => {
+            run_battery(spec, &base, &mut exam);
+            exam.metrics = Some(base.metrics(true));
+        }
+        Err(detail) => exam.failures.push((Oracle::Sanity, detail)),
+    }
+    exam
+}
+
+/// Every oracle over a clean baseline, failures in battery order.
+fn run_battery(spec: &ScenarioSpec, base: &Baseline, exam: &mut SpecExam) {
+    let Baseline {
+        nests,
+        seq,
+        compiled,
+        helix_cfg,
+        helix,
+        cores,
+        fuel,
+        ..
+    } = base;
+    let (cores, fuel) = (*cores, *fuel);
     let fail = |exam: &mut SpecExam, oracle: Oracle, detail: String| {
         exam.failures.push((oracle, detail));
     };
 
-    // Baseline: generate, sequential run, HCCv3 compile, HELIX-RC run.
-    exam.checks += 1;
-    let (program, nests) = match generate_with_nests(spec, Scale::Test) {
-        Ok(p) => p,
-        Err(e) => {
-            fail(&mut exam, Oracle::Sanity, format!("generate: {e}"));
-            return exam;
-        }
-    };
-    let seq_cfg = MachineConfig::conventional(cores);
-    let cuts: Vec<InstSite> = nests.iter().flat_map(NestBoundary::cuts).collect();
-    let seq = match Machine::new(&program, &[], seq_cfg)
-        .with_cuts(&cuts)
-        .run(fuel)
-    {
-        Ok(r) => r,
-        Err(e) => {
-            fail(&mut exam, Oracle::Sanity, format!("sequential run: {e:?}"));
-            return exam;
-        }
-    };
-    let compiled = match compile(&program, &HccConfig::v3(cores as u32)) {
-        Ok(c) => c,
-        Err(e) => {
-            fail(&mut exam, Oracle::Sanity, format!("HCCv3 compile: {e:?}"));
-            return exam;
-        }
-    };
-    let helix_cfg = MachineConfig::helix_rc(cores);
-    let helix = match simulate(&compiled, &helix_cfg, fuel) {
-        Ok(r) => r,
-        Err(e) => {
-            fail(&mut exam, Oracle::Sanity, format!("helix-rc run: {e:?}"));
-            return exam;
-        }
-    };
-    for (r, what) in [(&seq, "sequential"), (&helix, "helix-rc")] {
+    for (r, what) in [(seq, "sequential"), (helix, "helix-rc")] {
         exam.checks += 1;
         if let Err(d) = oracle_sanity(r, what) {
-            fail(&mut exam, Oracle::Sanity, d);
+            fail(exam, Oracle::Sanity, d);
         }
     }
 
     // Engine agreement: decoded (baseline) vs tree vs batched.
     let tree = simulate(
-        &compiled,
+        compiled,
         &helix_cfg.clone().with_engine(EngineSel::Tree),
         fuel,
     );
     let batched = simulate(
-        &compiled,
+        compiled,
         &helix_cfg.clone().with_engine(EngineSel::Batched),
         fuel,
     );
@@ -507,13 +570,12 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
         exam.checks += 1;
         match run {
             Ok(r) => {
-                if let Err(d) = oracle_report_agreement(&helix, r, &format!("decoded vs {engine}"))
-                {
-                    fail(&mut exam, Oracle::EngineAgreement, d);
+                if let Err(d) = oracle_report_agreement(helix, r, &format!("decoded vs {engine}")) {
+                    fail(exam, Oracle::EngineAgreement, d);
                 }
             }
             Err(e) => fail(
-                &mut exam,
+                exam,
                 Oracle::EngineAgreement,
                 format!("{engine} engine failed where decoded succeeded: {e:?}"),
             ),
@@ -522,14 +584,14 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
 
     // Fast-forward vs the naive cycle loop.
     exam.checks += 1;
-    match simulate(&compiled, &helix_cfg.clone().without_fast_forward(), fuel) {
+    match simulate(compiled, &helix_cfg.clone().without_fast_forward(), fuel) {
         Ok(r) => {
-            if let Err(d) = oracle_report_agreement(&helix, &r, "fast-forward vs naive") {
-                fail(&mut exam, Oracle::FastForward, d);
+            if let Err(d) = oracle_report_agreement(helix, &r, "fast-forward vs naive") {
+                fail(exam, Oracle::FastForward, d);
             }
         }
         Err(e) => fail(
-            &mut exam,
+            exam,
             Oracle::FastForward,
             format!("naive loop failed where fast-forward succeeded: {e:?}"),
         ),
@@ -553,7 +615,7 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
         let want = format!("{:?}", standalone);
         if got != want {
             fail(
-                &mut exam,
+                exam,
                 Oracle::LaneInvariance,
                 format!(
                     "lane {} ({engine}) diverged from its standalone run",
@@ -566,52 +628,28 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
     // Per-nest coverage accounting (multi-nest specs only).
     if spec.nests.len() >= 2 {
         exam.checks += 1;
-        let rows = nest_weights(&spec.name, &nests, &seq.marks, seq.cycles).and_then(|weights| {
+        let rows = nest_weights(&spec.name, nests, &seq.marks, seq.cycles).and_then(|weights| {
             nest_rows(spec, Scale::Test, cores, fuel, CompilerGen::V3, &weights)
         });
         match rows {
             Ok(rows) => {
                 if let Err(d) = oracle_coverage_sum(&rows) {
-                    fail(&mut exam, Oracle::CoverageSum, d);
+                    fail(exam, Oracle::CoverageSum, d);
                 }
             }
-            Err(e) => fail(&mut exam, Oracle::CoverageSum, format!("nest rows: {e}")),
+            Err(e) => fail(exam, Oracle::CoverageSum, format!("nest rows: {e}")),
         }
     }
 
     // Amdahl bound over conserved issue work (see
     // [`oracle_amdahl_bound`] for why wall speedup is the wrong
     // numerator).
-    let speedup = seq.cycles as f64 / helix.cycles.max(1) as f64;
-    let coverage = compiled.stats.coverage;
     exam.checks += 1;
     let comp_speedup =
         seq.attribution.total(Bucket::Computation) as f64 / helix.cycles.max(1) as f64;
-    if let Err(d) = oracle_amdahl_bound(comp_speedup, coverage, cores) {
-        fail(&mut exam, Oracle::AmdahlBound, d);
+    if let Err(d) = oracle_amdahl_bound(comp_speedup, compiled.stats.coverage, cores) {
+        fail(exam, Oracle::AmdahlBound, d);
     }
-
-    // Frontier metrics: earlier compiler generations on the same
-    // machine isolate the compiler axis. A generation that fails to
-    // compile or run is a frontier gap, not an oracle failure.
-    let generations = (|| {
-        let v1 = compile(&program, &HccConfig::v1(cores as u32)).ok()?;
-        let v2 = compile(&program, &HccConfig::v2(cores as u32)).ok()?;
-        let r1 = simulate(&v1, &helix_cfg, fuel).ok()?;
-        let r2 = simulate(&v2, &helix_cfg, fuel).ok()?;
-        Some((
-            seq.cycles as f64 / r1.cycles.max(1) as f64,
-            seq.cycles as f64 / r2.cycles.max(1) as f64,
-        ))
-    })();
-    exam.metrics = Some(Metrics {
-        speedup,
-        coverage,
-        bound_frac: speedup / amdahl_bound(coverage, cores),
-        comm_frac: comm_frac(&helix),
-        generations,
-    });
-    exam
 }
 
 // ---------------------------------------------------------------------
@@ -766,12 +804,48 @@ fn shrink_candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 // The run loop
 // ---------------------------------------------------------------------
 
-/// Frontier-only measurement used by the shrinkers: cheaper than the
-/// full battery (no engine cross-checks), `None` when the spec no
-/// longer builds or runs.
+/// Frontier metrics without the oracle battery: the baseline plus the
+/// HCCv1/HCCv2 generations, equal to `examine_spec(..).metrics`.
+/// `None` when the spec no longer builds or its baseline fails.
 pub fn measure_metrics(spec: &ScenarioSpec, opts: &ExploreOptions) -> Option<Metrics> {
-    let exam = examine_spec(spec, opts);
-    exam.metrics
+    measure(spec, opts, true)
+}
+
+/// The baseline's frontier metrics, with or without the generations.
+fn measure(spec: &ScenarioSpec, opts: &ExploreOptions, generations: bool) -> Option<Metrics> {
+    Baseline::run(spec, opts)
+        .ok()
+        .map(|base| base.metrics(generations))
+}
+
+/// The metrics one request's shrinks have already measured, so a
+/// candidate that two shrinks both offer (the min-bound and max-comm
+/// hits are often the same spec) is simulated once. Specs are compared
+/// by equality; each shrink adds at most [`SHRINK_EVALS`] entries.
+struct MetricsMemo<'a> {
+    opts: &'a ExploreOptions,
+    /// Whether the entries carry the compiler generations.
+    generations: bool,
+    seen: Vec<(ScenarioSpec, Option<Metrics>)>,
+}
+
+impl<'a> MetricsMemo<'a> {
+    fn new(opts: &'a ExploreOptions, generations: bool) -> Self {
+        MetricsMemo {
+            opts,
+            generations,
+            seen: Vec::new(),
+        }
+    }
+
+    fn measure(&mut self, spec: &ScenarioSpec) -> Option<Metrics> {
+        if let Some((_, metrics)) = self.seen.iter().find(|(s, _)| s == spec) {
+            return *metrics;
+        }
+        let metrics = measure(spec, self.opts, self.generations);
+        self.seen.push((spec.clone(), metrics));
+        metrics
+    }
 }
 
 /// Run `helix explore`: examine `budget` generated specs, shrink every
@@ -846,11 +920,16 @@ pub fn run_explore(opts: &ExploreOptions) -> Result<ExploreReport, HelixError> {
 
     // Shrink the frontier extremes: the minimal spec must still be at
     // least as extreme as the original hit (small tolerance, so a
-    // shrink step can't ratchet the metric away).
+    // shrink step can't ratchet the metric away). Neither predicate
+    // reads the compiler generations, so their candidates skip them.
+    let mut memo = MetricsMemo::new(opts, false);
     if let Some((index, spec, value)) = min_bound {
         let shrunk = shrink_spec(
             &spec,
-            &mut |cand| measure_metrics(cand, opts).is_some_and(|m| m.bound_frac <= value + 0.05),
+            &mut |cand| {
+                memo.measure(cand)
+                    .is_some_and(|m| m.bound_frac <= value + 0.05)
+            },
             SHRINK_EVALS,
         );
         report.frontier.min_bound_frac = Some(FrontierHit {
@@ -863,7 +942,10 @@ pub fn run_explore(opts: &ExploreOptions) -> Result<ExploreReport, HelixError> {
     if let Some((index, spec, value)) = max_comm {
         let shrunk = shrink_spec(
             &spec,
-            &mut |cand| measure_metrics(cand, opts).is_some_and(|m| m.comm_frac >= value - 0.05),
+            &mut |cand| {
+                memo.measure(cand)
+                    .is_some_and(|m| m.comm_frac >= value - 0.05)
+            },
             SHRINK_EVALS,
         );
         report.frontier.max_comm_frac = Some(FrontierHit {
@@ -873,11 +955,14 @@ pub fn run_explore(opts: &ExploreOptions) -> Result<ExploreReport, HelixError> {
             toml: shrunk.to_toml(),
         });
     }
+    // The inversion predicate reads the generations, which the entries
+    // so far lack.
+    memo = MetricsMemo::new(opts, true);
     for (i, (index, spec, m)) in inversions.into_iter().enumerate() {
         let toml = if i < SHRUNK_INVERSIONS {
             shrink_spec(
                 &spec,
-                &mut |cand| measure_metrics(cand, opts).is_some_and(|c| c.inverted()),
+                &mut |cand| memo.measure(cand).is_some_and(|c| c.inverted()),
                 SHRINK_EVALS,
             )
             .to_toml()
